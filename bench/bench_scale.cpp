@@ -43,7 +43,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -66,11 +65,8 @@ std::mutex RssMutex;
 std::vector<RssProbe> RssProbes;
 
 /// Builds the tiered grid for \p Sites sites and runs the open-loop
-/// stream of roughly \p Transfers fetches through it, with \p Threads
-/// intra-run worker threads on the simulator's parallel executor
-/// (results are bit-identical for any value).
-exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
-                         unsigned Threads) {
+/// stream of roughly \p Transfers fetches through it.
+exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed) {
   GridSpec Spec;
   Spec.Seed = Seed;
   // Scale-mode monitoring: shared batch ticks instead of one heap event
@@ -134,7 +130,6 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
   Spec.Workloads.push_back(Load);
 
   std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
-  G->sim().setThreads(Threads);
 
   CostModelPolicy Cost;
   // Two-choice sampling over the cost model: at 2500 selections/s
@@ -190,8 +185,8 @@ exp::TrialResult runTier(size_t Sites, uint64_t Transfers, uint64_t Seed,
   return Result;
 }
 
-/// Reads the serial-arm event throughput out of a committed baseline
-/// document (the `"events_per_s_t1":` member of the parallel footer).
+/// Reads the event throughput out of a committed baseline document (the
+/// top-level `"events_per_s":` member of the footer).
 /// Hand-rolled scan: the repo carries a JSON writer, not a parser, and a
 /// one-key probe does not justify growing one.  \returns 0.0 when the
 /// file or the key is missing (the caller treats that as "no baseline").
@@ -206,7 +201,7 @@ double readBaselineEventsPerS(const std::string &Path) {
   for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
     Doc.append(Buf, N);
   std::fclose(F);
-  constexpr std::string_view Key = "\"events_per_s_t1\":";
+  constexpr std::string_view Key = "\"events_per_s\":";
   size_t At = Doc.find(Key);
   if (At == std::string::npos) {
     std::fprintf(stderr, "baseline: no %s in %s\n",
@@ -219,7 +214,7 @@ double readBaselineEventsPerS(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // --baseline PATH pins this run's serial events/s against a committed
+  // --baseline PATH pins this run's events/s against a committed
   // reference document; stripped here because the shared option parser
   // rejects flags it does not know.
   std::string BaselinePath;
@@ -243,67 +238,42 @@ int main(int argc, char **argv) {
 
   const size_t Sites = Opt.Quick ? 64 : 1024;
   const uint64_t Transfers = Opt.Quick ? 10000 : 1000000;
-  const unsigned Threads = Opt.threads();
 
-  // With --threads T > 1 the sweep runs two arms, serial and threaded, so
-  // the run measures its own intra-run speedup (events/s per arm).  The
-  // metrics columns must agree between arms — that is the determinism
-  // contract — and the footer reports the wall-clock ratio.
-  std::vector<std::string> ThreadArms = {"1"};
-  if (Threads > 1)
-    ThreadArms.push_back(std::to_string(Threads));
-
-  struct ArmStat {
-    double WallSeconds = 0.0;
-    uint64_t Events = 0;
-  };
-  std::mutex ArmMutex;
-  std::map<unsigned, ArmStat> Arms;
+  std::mutex WallMutex;
+  double TrialWall = 0.0;
+  uint64_t TrialEvents = 0;
 
   exp::Scenario S;
   S.Id = Opt.Id;
   S.Title = "Open-loop fetch stream over a tiered grid";
-  S.Axes = {{"sites", {std::to_string(Sites)}}, {"threads", ThreadArms}};
+  S.Axes = {{"sites", {std::to_string(Sites)}}};
   S.Seeds = Opt.seeds();
   S.Metrics = {"arrivals",   "completed",  "failed",
                "local_hits", "goodput_gb", "mean_sojourn_s"};
-  S.Run = [Transfers, &ArmMutex, &Arms](const exp::TrialPoint &P) {
-    unsigned T =
-        unsigned(std::strtoul(P.param("threads").c_str(), nullptr, 10));
+  S.Run = [Transfers, &WallMutex, &TrialWall,
+           &TrialEvents](const exp::TrialPoint &P) {
     auto A0 = std::chrono::steady_clock::now();
-    exp::TrialResult R =
-        runTier(std::strtoull(P.param("sites").c_str(), nullptr, 10),
-                Transfers, P.Seed, T);
+    exp::TrialResult R = runTier(
+        std::strtoull(P.param("sites").c_str(), nullptr, 10), Transfers,
+        P.Seed);
     double Wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - A0)
             .count();
-    std::lock_guard<std::mutex> Lock(ArmMutex);
-    Arms[T].WallSeconds += Wall;
-    Arms[T].Events += R.EventsExecuted;
+    std::lock_guard<std::mutex> Lock(WallMutex);
+    TrialWall += Wall;
+    TrialEvents += R.EventsExecuted;
     return R;
   };
-  auto Footer = [Threads, &Arms, BaselineEps](json::JsonWriter &W) {
-    W.key("parallel");
-    W.beginObject();
-    W.member("threads", uint64_t(Threads));
-    for (const auto &[T, A] : Arms) {
-      std::string Key = "events_per_s_t" + std::to_string(T);
-      W.member(Key, A.WallSeconds > 0.0 ? double(A.Events) / A.WallSeconds
-                                        : 0.0);
-    }
-    if (Threads > 1 && Arms.count(1) && Arms.count(Threads) &&
-        Arms.at(Threads).WallSeconds > 0.0)
-      W.member("speedup", Arms.at(1).WallSeconds /
-                              Arms.at(Threads).WallSeconds);
-    W.endObject();
+  auto EventsPerS = [&TrialWall, &TrialEvents] {
+    return TrialWall > 0.0 ? double(TrialEvents) / TrialWall : 0.0;
+  };
+  auto Footer = [&EventsPerS, BaselineEps](json::JsonWriter &W) {
+    W.member("events_per_s", EventsPerS());
     if (BaselineEps > 0.0) {
-      double Cur = Arms.count(1) && Arms.at(1).WallSeconds > 0.0
-                       ? double(Arms.at(1).Events) / Arms.at(1).WallSeconds
-                       : 0.0;
       W.key("baseline");
       W.beginObject();
       W.member("events_per_s", BaselineEps);
-      W.member("ratio", Cur / BaselineEps);
+      W.member("ratio", EventsPerS() / BaselineEps);
       W.endObject();
     }
   };
@@ -334,36 +304,17 @@ int main(int argc, char **argv) {
   bench::shapeCheckLe(SlowestTrial, Opt.Quick ? 60.0 : 300.0,
                       "slowest_trial_s",
                       "a full trial fits the single-core time budget");
-  if (Threads > 1) {
-    // The determinism contract, checked end to end: the threaded arm must
-    // reproduce the serial arm bit for bit (metrics and event counts).
-    std::map<uint64_t, const exp::TrialRecord *> SerialBySeed;
-    for (const exp::TrialRecord &R : Records)
-      if (R.Point.param("threads") == "1")
-        SerialBySeed[R.Point.Seed] = &R;
-    bool Identical = true;
-    for (const exp::TrialRecord &R : Records)
-      if (R.Point.param("threads") != "1") {
-        const exp::TrialRecord *Ser = SerialBySeed[R.Point.Seed];
-        Identical = Identical && Ser &&
-                    Ser->Result.Metrics == R.Result.Metrics &&
-                    Ser->Result.EventsExecuted == R.Result.EventsExecuted &&
-                    Ser->Result.SpecHash == R.Result.SpecHash;
-      }
-    bench::shapeCheck(Identical,
-                      "threaded arm reproduces the serial arm bit-for-bit");
-  }
-  if (BaselineEps > 0.0 && Arms.count(1) && Arms.at(1).WallSeconds > 0.0) {
-    // The perf-regression gate: serial event throughput must hold within
-    // 10% of the committed baseline capture.  The margin absorbs host
-    // noise; a real hot-path regression (the caches or the scheduler
-    // falling out) costs far more than 10%.
-    double Cur = double(Arms.at(1).Events) / Arms.at(1).WallSeconds;
+  if (BaselineEps > 0.0 && TrialWall > 0.0) {
+    // The perf-regression gate: event throughput must hold within 10% of
+    // the committed baseline capture.  The margin absorbs host noise; a
+    // real hot-path regression (the caches falling out) costs far more
+    // than 10%.
+    double Cur = EventsPerS();
     std::printf("baseline: %.0f events/s vs %.0f committed (%.2fx)\n", Cur,
                 BaselineEps, Cur / BaselineEps);
     bench::shapeCheckGe(Cur / BaselineEps, 0.9, "events_per_s_vs_baseline",
-                        "serial event throughput holds against the "
-                        "committed baseline");
+                        "event throughput holds against the committed "
+                        "baseline");
   }
   if (Opt.Jobs == 1) {
     // Memory must be flat once the sensor population is warm: the probes
@@ -381,15 +332,6 @@ int main(int argc, char **argv) {
 
   std::printf("\ntransfers: %.0f completed (%.0f transfers/s host-side)\n",
               Completed, SweepWall > 0.0 ? Completed / SweepWall : 0.0);
-  if (Threads > 1 && Arms.count(1) && Arms.count(Threads) &&
-      Arms.at(Threads).WallSeconds > 0.0 && Arms.at(1).WallSeconds > 0.0) {
-    const ArmStat &Serial = Arms.at(1), &Par = Arms.at(Threads);
-    std::printf("threads: %u, events/s %.0f (serial) vs %.0f (threaded), "
-                "speedup %.2fx\n",
-                Threads, double(Serial.Events) / Serial.WallSeconds,
-                double(Par.Events) / Par.WallSeconds,
-                Serial.WallSeconds / Par.WallSeconds);
-  }
   bench::printRunFooter(Events, SweepWall);
   return bench::exitCode();
 }

@@ -7,7 +7,7 @@
 /// \file
 /// Expands a Scenario into trials and executes them, optionally on a
 /// worker-thread pool.  Each trial is fully independent (its own DataGrid,
-/// its own RNG tree), so:
+/// its own serial Simulator, its own RNG tree), so:
 ///
 ///   * results are bit-identical between `Jobs=1` and `Jobs=N`;
 ///   * sinks observe trials in expansion order regardless of completion
@@ -15,12 +15,8 @@
 ///   * wall-clock scales with min(Jobs, hardware threads) because trials
 ///     never share state.
 ///
-/// With Jobs > 1 the runner opens a TrialParallelRegion for the duration
-/// of the pool: per-simulator parallel executors inside the trials degrade
-/// to serial while it is open, so trial-level and intra-run parallelism
-/// never compose into Jobs x threads oversubscription.  Trial-level wins
-/// because independent trials scale perfectly; intra-run sharding exists
-/// for the single-run, many-resource regime.
+/// Trial-level parallelism is the only parallelism in dgsim: every
+/// simulation runs on one thread, so Jobs workers use at most Jobs cores.
 ///
 /// The runner is the execution layer under every sweep-shaped bench; the
 /// benches only describe scenarios and aggregate the returned records.

@@ -16,12 +16,11 @@
 /// means and medians of several widths, and exponential smoothing with
 /// several gains, plus the adaptive meta-forecaster.
 ///
-/// Thread affinity: a forecaster's state is private to the sensor that
+/// State ownership: a forecaster's state is private to the sensor that
 /// owns it and is advanced only through that sensor's observe() calls.
-/// That unit-privacy is what lets SensorBatch shard forecaster updates
-/// across ParallelExecutor threads (DESIGN.md §12): any one forecaster
-/// is only ever touched by the shard holding its sensor, so no
-/// forecaster may keep global/static mutable state or draw from a
+/// A forecast is therefore a pure function of that sensor's sample
+/// stream — the property InformationService's factor cache relies on —
+/// so no forecaster may keep global/static mutable state or draw from a
 /// shared RNG.
 ///
 //===----------------------------------------------------------------------===//

@@ -27,6 +27,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 using namespace dgsim;
 using namespace dgsim::units;
@@ -247,6 +248,12 @@ struct SeriesCase {
   uint64_t Seed;
 };
 
+// Names each case by its content ("noise_seed2"), so test names do not
+// depend on where the Kind string happens to be loaded.
+void PrintTo(const SeriesCase &C, std::ostream *OS) {
+  *OS << C.Kind << "_seed" << C.Seed;
+}
+
 class ForecasterProperty : public ::testing::TestWithParam<SeriesCase> {};
 
 std::vector<double> makeSeries(const SeriesCase &C, size_t N) {
@@ -384,6 +391,12 @@ struct ProtocolPoint {
   TransferProtocol Protocol;
   double SizeMB;
 };
+
+// Names each point by its content ("ftp_64MB"), so test names do not
+// depend on the struct's uninitialised padding bytes.
+void PrintTo(const ProtocolPoint &Pt, std::ostream *OS) {
+  *OS << transferProtocolName(Pt.Protocol) << '_' << Pt.SizeMB << "MB";
+}
 
 class ProtocolProperty : public ::testing::TestWithParam<ProtocolPoint> {};
 
