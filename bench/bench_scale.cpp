@@ -278,7 +278,9 @@ int main(int argc, char **argv) {
     }
   };
   auto T0 = std::chrono::steady_clock::now();
+  uint64_t Heap0 = InlineFunctionStats::heapFallbacks();
   std::vector<exp::TrialRecord> Records = exp::runScenario(S, Opt, Footer);
+  uint64_t HeapFallbacks = InlineFunctionStats::heapFallbacks() - Heap0;
   double SweepWall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
           .count();
@@ -304,6 +306,11 @@ int main(int argc, char **argv) {
   bench::shapeCheckLe(SlowestTrial, Opt.Quick ? 60.0 : 300.0,
                       "slowest_trial_s",
                       "a full trial fits the single-core time budget");
+  // One spilled capture per fetch is ~1M heap allocations on a full run;
+  // every callback the grid build and fetch path schedule must fit the
+  // inline buffer.
+  bench::shapeCheckEq(double(HeapFallbacks), 0.0, "callback_heap_fallbacks",
+                      "no fetch-path callback spills to the heap");
   if (BaselineEps > 0.0 && TrialWall > 0.0) {
     // The perf-regression gate: event throughput must hold within 10% of
     // the committed baseline capture.  The margin absorbs host noise; a

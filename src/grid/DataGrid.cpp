@@ -104,8 +104,8 @@ Site &DataGrid::addSite(const SiteConfig &Config) {
     HC.DiskCfg.Background.MeanLoad = Spec.IoMeanLoad;
     HC.DiskCfg.Background.Volatility = Spec.LoadVolatility;
     if (InfoConfig.BatchHostLoads && !HostLoadBatch)
-      HostLoadBatch =
-          std::make_unique<CpuLoadBatch>(Sim, HC.Cpu.UpdatePeriod);
+      HostLoadBatch = std::make_unique<PeriodicBatch<CpuLoadModel>>(
+          Sim, HC.Cpu.UpdatePeriod);
     S->Hosts.push_back(
         std::make_unique<Host>(Sim, HC, Node, HostLoadBatch.get()));
   }

@@ -193,7 +193,7 @@ private:
   /// Shared tick driver for every host-load OU process when
   /// InfoConfig.BatchHostLoads is set; null otherwise.  Declared before
   /// Sites so it outlives the member models that detach on destruction.
-  std::unique_ptr<CpuLoadBatch> HostLoadBatch;
+  std::unique_ptr<PeriodicBatch<CpuLoadModel>> HostLoadBatch;
   std::vector<std::unique_ptr<Site>> Sites;
   std::unique_ptr<Routing> Router;
   std::unique_ptr<FlowNetwork> Net;

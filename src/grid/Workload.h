@@ -31,8 +31,8 @@
 #include "replica/ReplicaManager.h"
 #include "support/Random.h"
 
+#include <deque>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,14 +134,25 @@ private:
     uint64_t Stride = 1;
   };
 
-  void scheduleArrival(std::shared_ptr<const WorkloadSpec> W, size_t Index,
-                       size_t Pos, const FetchOptions &FetchOpts);
-  void runArrival(const WorkloadSpec &W, const WorkloadArrival &A,
-                  const FetchOptions &FetchOpts);
+  /// One started workload: what its arrival events read.  The spec is a
+  /// snapshot (later addWorkload calls may reallocate the grid's spec
+  /// vector), and keeping it here lets each arrival closure capture only
+  /// {driver, stream, position} and stay inside the callback's inline
+  /// buffer.
+  struct Stream {
+    WorkloadSpec Spec;
+    FetchOptions Opts;
+    size_t Index;
+  };
+
+  void scheduleArrival(const Stream &S, size_t Pos);
+  void runArrival(const Stream &S, const WorkloadArrival &A);
   void pushSample(std::vector<double> &V, SampleStream &S, double X);
 
   DataGrid &Grid;
   ReplicaManager &Mgr;
+  /// A deque: arrival closures hold references, so entries never move.
+  std::deque<Stream> Streams;
   WorkloadCounters Counters;
   size_t SampleCap = 0;
   SampleStream QueueStream;

@@ -19,14 +19,11 @@
 #ifndef DGSIM_HOST_CPULOADMODEL_H
 #define DGSIM_HOST_CPULOADMODEL_H
 
+#include "sim/PeriodicBatch.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
 
-#include <vector>
-
 namespace dgsim {
-
-class CpuLoadBatch;
 
 /// Parameters of the load process.
 struct CpuLoadConfig {
@@ -49,16 +46,16 @@ struct CpuLoadConfig {
 /// A live CPU-load process attached to a simulator.
 ///
 /// Self-scheduled by default (one periodic kernel event per model, the
-/// historical behaviour).  When constructed with a CpuLoadBatch the batch
-/// drives the OU ticks instead, multiplexing any number of same-period
-/// models behind one kernel event; burst arrivals stay self-scheduled
-/// (they are Poisson events at irregular times).  Either way each model
-/// advances its own forked RNG stream exactly once per tick, so the load
+/// historical behaviour).  When constructed with a batch the batch drives
+/// the OU ticks instead, multiplexing any number of same-period models
+/// behind one kernel event; burst arrivals stay self-scheduled (they are
+/// Poisson events at irregular times).  Either way each model advances
+/// its own forked RNG stream exactly once per tick, so the load
 /// trajectory is identical in both modes.
 class CpuLoadModel {
 public:
   CpuLoadModel(Simulator &Sim, CpuLoadConfig Config,
-               CpuLoadBatch *Batch = nullptr);
+               PeriodicBatch<CpuLoadModel> *Batch = nullptr);
   ~CpuLoadModel();
 
   CpuLoadModel(const CpuLoadModel &) = delete;
@@ -73,7 +70,7 @@ public:
   const CpuLoadConfig &config() const { return Config; }
 
 private:
-  friend class CpuLoadBatch;
+  friend class PeriodicBatch<CpuLoadModel>;
 
   void tick();
   void scheduleBurst();
@@ -86,39 +83,9 @@ private:
   double ActiveBursts = 0.0;
   EventId TickHandle = InvalidEventId;
   EventId BurstArrival = InvalidEventId;
-  /// Batch membership (batch-driven mode); maintained by CpuLoadBatch.
-  CpuLoadBatch *Batch = nullptr;
+  /// Batch membership (batch-driven mode); maintained by the batch.
+  PeriodicBatch<CpuLoadModel> *Batch = nullptr;
   size_t BatchPos = 0;
-};
-
-/// Advances a set of same-period CPU-load models behind one periodic
-/// kernel event, mirroring SensorBatch.  Members advance in registration
-/// order; each OU step touches only the model's private state (its own
-/// RNG, its own load).
-class CpuLoadBatch {
-public:
-  /// Ticks every \p Period seconds; members must use the same period.
-  CpuLoadBatch(Simulator &Sim, SimTime Period);
-  ~CpuLoadBatch();
-
-  CpuLoadBatch(const CpuLoadBatch &) = delete;
-  CpuLoadBatch &operator=(const CpuLoadBatch &) = delete;
-
-  size_t size() const { return Members.size() - Dead; }
-  SimTime period() const { return Period; }
-
-private:
-  friend class CpuLoadModel;
-
-  void add(CpuLoadModel &M);
-  void remove(CpuLoadModel &M);
-  void tick();
-
-  Simulator &Sim;
-  SimTime Period;
-  EventId Periodic = InvalidEventId;
-  std::vector<CpuLoadModel *> Members;
-  size_t Dead = 0;
 };
 
 } // namespace dgsim

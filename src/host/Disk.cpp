@@ -11,7 +11,8 @@
 
 using namespace dgsim;
 
-Disk::Disk(Simulator &Sim, DiskConfig Config, CpuLoadBatch *LoadBatch)
+Disk::Disk(Simulator &Sim, DiskConfig Config,
+           PeriodicBatch<CpuLoadModel> *LoadBatch)
     : Config(Config), BackgroundLoad(Sim, Config.Background, LoadBatch) {
   assert(Config.ReadRate > 0.0 && Config.WriteRate > 0.0 &&
          "disks need positive throughput");

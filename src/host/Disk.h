@@ -38,7 +38,8 @@ struct DiskConfig {
 /// A live disk attached to a simulator.
 class Disk {
 public:
-  Disk(Simulator &Sim, DiskConfig Config, CpuLoadBatch *LoadBatch = nullptr);
+  Disk(Simulator &Sim, DiskConfig Config,
+       PeriodicBatch<CpuLoadModel> *LoadBatch = nullptr);
 
   Disk(const Disk &) = delete;
   Disk &operator=(const Disk &) = delete;

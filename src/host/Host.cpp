@@ -12,7 +12,7 @@
 using namespace dgsim;
 
 Host::Host(Simulator &Sim, HostConfig Config, NodeId Node,
-           CpuLoadBatch *LoadBatch)
+           PeriodicBatch<CpuLoadModel> *LoadBatch)
     : Config(Config), Node(Node), Cpu(Sim, Config.Cpu, LoadBatch),
       Mem(Sim, Config.Memory, LoadBatch), Dsk(Sim, Config.DiskCfg, LoadBatch) {
   assert(!Config.Name.empty() && "hosts need a name");

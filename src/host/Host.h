@@ -52,9 +52,9 @@ public:
   /// \param LoadBatch optional shared tick driver: when non-null the CPU,
   /// memory and disk-background OU processes join it instead of owning
   /// periodic events of their own (trajectories are identical; see
-  /// CpuLoadBatch).
+  /// CpuLoadModel).
   Host(Simulator &Sim, HostConfig Config, NodeId Node,
-       CpuLoadBatch *LoadBatch = nullptr);
+       PeriodicBatch<CpuLoadModel> *LoadBatch = nullptr);
 
   Host(const Host &) = delete;
   Host &operator=(const Host &) = delete;

@@ -8,28 +8,17 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 
 using namespace dgsim;
-
-LastValueForecaster::LastValueForecaster() : Name("last") {}
-
-RunningMeanForecaster::RunningMeanForecaster() : Name("run_mean") {}
 
 void RunningMeanForecaster::observe(double Value) {
   Sum += Value;
   Count += 1.0;
 }
 
-static std::string windowedName(const char *Prefix, size_t Window) {
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "%s(%zu)", Prefix, Window);
-  return std::string(Buf);
-}
-
 SlidingMeanForecaster::SlidingMeanForecaster(size_t Window)
-    : Name(windowedName("sw_mean", Window)), Window(Window) {
+    : Window(Window) {
   assert(Window > 0 && "window must be positive");
   Ring.resize(Window);
 }
@@ -52,7 +41,7 @@ double SlidingMeanForecaster::predict() const {
 }
 
 SlidingMedianForecaster::SlidingMedianForecaster(size_t Window)
-    : Name(windowedName("sw_median", Window)), Window(Window) {
+    : Window(Window) {
   assert(Window > 0 && "window must be positive");
   Ring.resize(Window);
   Sorted.reserve(Window);
@@ -99,9 +88,6 @@ double SlidingMedianForecaster::predict() const {
 ExponentialSmoothingForecaster::ExponentialSmoothingForecaster(double Alpha)
     : Alpha(Alpha) {
   assert(Alpha > 0.0 && Alpha <= 1.0 && "gain outside (0, 1]");
-  char Buf[48];
-  std::snprintf(Buf, sizeof(Buf), "exp_smooth(%.2f)", Alpha);
-  Name = Buf;
 }
 
 void ExponentialSmoothingForecaster::observe(double Value) {
@@ -114,51 +100,39 @@ void ExponentialSmoothingForecaster::observe(double Value) {
 }
 
 NwsForecaster::NwsForecaster()
-    : Name("nws_adaptive"), Mean5(5), Mean10(10), Mean20(20), Mean40(40),
-      Median5(5), Median10(10), Median20(20), Median40(40), Smooth05(0.05),
-      Smooth25(0.25), Smooth75(0.75),
-      Members{&Last, &RunMean, &Mean5, &Mean10, &Mean20, &Mean40, &Median5,
-              &Median10, &Median20, &Median40, &Smooth05, &Smooth25,
-              &Smooth75} {}
+    : Mean5(5), Mean10(10), Mean20(20), Mean40(40), Median5(5),
+      Median10(10), Median20(20), Median40(40), Smooth05(0.05),
+      Smooth25(0.25), Smooth75(0.75) {}
+
+template <typename Self, typename Fn>
+void NwsForecaster::forEachMember(Self &S, Fn &&Visit) {
+  Visit(S.Last);
+  Visit(S.RunMean);
+  Visit(S.Mean5);
+  Visit(S.Mean10);
+  Visit(S.Mean20);
+  Visit(S.Mean40);
+  Visit(S.Median5);
+  Visit(S.Median10);
+  Visit(S.Median20);
+  Visit(S.Median40);
+  Visit(S.Smooth05);
+  Visit(S.Smooth25);
+  Visit(S.Smooth75);
+}
 
 void NwsForecaster::observe(double Value) {
   // Score each member on this observation *before* it sees the value (the
-  // postcast error), then feed the value in.  Direct member calls: this
-  // runs once per sensor sample, and the bodies are small enough to
-  // inline.
+  // postcast error), then feed the value in.  The visitor inlines to
+  // direct member calls: this runs once per sensor sample.
   if (Observations != 0) {
     size_t I = 0;
-    auto Score = [&](double Prediction) {
-      double E = Prediction - Value;
+    forEachMember(*this, [&](const auto &M) {
+      double E = M.predict() - Value;
       SquaredError[I++] += E * E;
-    };
-    Score(Last.predict());
-    Score(RunMean.predict());
-    Score(Mean5.predict());
-    Score(Mean10.predict());
-    Score(Mean20.predict());
-    Score(Mean40.predict());
-    Score(Median5.predict());
-    Score(Median10.predict());
-    Score(Median20.predict());
-    Score(Median40.predict());
-    Score(Smooth05.predict());
-    Score(Smooth25.predict());
-    Score(Smooth75.predict());
+    });
   }
-  Last.observe(Value);
-  RunMean.observe(Value);
-  Mean5.observe(Value);
-  Mean10.observe(Value);
-  Mean20.observe(Value);
-  Mean40.observe(Value);
-  Median5.observe(Value);
-  Median10.observe(Value);
-  Median20.observe(Value);
-  Median40.observe(Value);
-  Smooth05.observe(Value);
-  Smooth25.observe(Value);
-  Smooth75.observe(Value);
+  forEachMember(*this, [Value](auto &M) { M.observe(Value); });
   ++Observations;
 }
 
@@ -170,12 +144,16 @@ size_t NwsForecaster::bestIndex() const {
   return Best;
 }
 
-double NwsForecaster::predict() const {
-  return Members[bestIndex()]->predict();
-}
+double NwsForecaster::predict() const { return memberPredict(bestIndex()); }
 
 const std::string &NwsForecaster::bestMemberName() const {
-  return Members[bestIndex()]->name();
+  static const std::string Names[BatterySize] = {
+      "last",          "run_mean",         "sw_mean(5)",
+      "sw_mean(10)",   "sw_mean(20)",      "sw_mean(40)",
+      "sw_median(5)",  "sw_median(10)",    "sw_median(20)",
+      "sw_median(40)", "exp_smooth(0.05)", "exp_smooth(0.25)",
+      "exp_smooth(0.75)"};
+  return Names[bestIndex()];
 }
 
 double NwsForecaster::memberMse(size_t I) const {
@@ -186,10 +164,11 @@ double NwsForecaster::memberMse(size_t I) const {
 
 double NwsForecaster::memberPredict(size_t I) const {
   assert(I < BatterySize && "member index out of range");
-  return Members[I]->predict();
-}
-
-const std::string &NwsForecaster::memberName(size_t I) const {
-  assert(I < BatterySize && "member index out of range");
-  return Members[I]->name();
+  double P = 0.0;
+  size_t K = 0;
+  forEachMember(*this, [&](const auto &M) {
+    if (K++ == I)
+      P = M.predict();
+  });
+  return P;
 }

@@ -28,51 +28,33 @@
 #ifndef DGSIM_MONITOR_FORECASTER_H
 #define DGSIM_MONITOR_FORECASTER_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 namespace dgsim {
 
-/// One predictor over a scalar measurement stream.  Feed observations with
-/// observe(); read the one-step-ahead forecast with predict().
-class Forecaster {
-public:
-  virtual ~Forecaster() = default;
-
-  /// \returns a short identifier such as "sw_mean(10)".
-  virtual const std::string &name() const = 0;
-
-  /// Incorporates a new observation.
-  virtual void observe(double Value) = 0;
-
-  /// \returns the current one-step-ahead forecast; 0 before the first
-  /// observation.
-  virtual double predict() const = 0;
-};
+// Each battery member below has the same two-call surface: observe() feeds
+// an observation, predict() reads the one-step-ahead forecast (0 before the
+// first observation).
 
 /// Forecasts the most recent observation.
-class LastValueForecaster final : public Forecaster {
+class LastValueForecaster {
 public:
-  LastValueForecaster();
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override { Last = Value; }
-  double predict() const override { return Last; }
+  void observe(double Value) { Last = Value; }
+  double predict() const { return Last; }
 
 private:
-  std::string Name;
   double Last = 0.0;
 };
 
 /// Forecasts the mean of the entire history.
-class RunningMeanForecaster final : public Forecaster {
+class RunningMeanForecaster {
 public:
-  RunningMeanForecaster();
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override { return Count ? Sum / Count : 0.0; }
+  void observe(double Value);
+  double predict() const { return Count ? Sum / Count : 0.0; }
 
 private:
-  std::string Name;
   double Sum = 0.0;
   double Count = 0.0;
 };
@@ -82,15 +64,13 @@ private:
 /// The window lives in a flat ring buffer (one allocation, no deque block
 /// bookkeeping): observe() only needs the expiring value, not ordered
 /// traversal.
-class SlidingMeanForecaster final : public Forecaster {
+class SlidingMeanForecaster {
 public:
   explicit SlidingMeanForecaster(size_t Window);
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override;
+  void observe(double Value);
+  double predict() const;
 
 private:
-  std::string Name;
   size_t Window;
   /// Ring of the last Window values; Head is the oldest once full.
   std::vector<double> Ring;
@@ -106,15 +86,13 @@ private:
 /// The meta-forecaster calls every member's predict() once per
 /// observation to score it, which made the sort-on-read implementation
 /// the hottest path in sensor-heavy runs.
-class SlidingMedianForecaster final : public Forecaster {
+class SlidingMedianForecaster {
 public:
   explicit SlidingMedianForecaster(size_t Window);
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override;
+  void observe(double Value);
+  double predict() const;
 
 private:
-  std::string Name;
   size_t Window;
   /// Ring of the last Window values in arrival order; identifies which
   /// value expires next.
@@ -126,15 +104,13 @@ private:
 };
 
 /// Exponentially smoothed forecast with gain \p Alpha in (0, 1].
-class ExponentialSmoothingForecaster final : public Forecaster {
+class ExponentialSmoothingForecaster {
 public:
   explicit ExponentialSmoothingForecaster(double Alpha);
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override { return Smoothed; }
+  void observe(double Value);
+  double predict() const { return Smoothed; }
 
 private:
-  std::string Name;
   double Alpha;
   double Smoothed = 0.0;
   bool Seen = false;
@@ -144,22 +120,19 @@ private:
 /// mean squared error over the stream seen so far, and forwards the
 /// prediction of the current winner.
 ///
-/// The battery is stored as concrete members (not boxed behind the
-/// Forecaster interface): observe() makes 26 member calls per observation
-/// and a grid run constructs one battery per sensor, so both the virtual
-/// dispatch and the 13 per-battery heap allocations were measurable at
-/// scale.  The \c Members table re-exposes the battery polymorphically for
-/// introspection.
-class NwsForecaster final : public Forecaster {
+/// The battery is stored as concrete members: observe() makes 26 direct
+/// member calls per observation and a grid run constructs one battery per
+/// sensor.  Member names come from one static table.
+class NwsForecaster {
 public:
   /// Builds the default battery (13 predictors).
   NwsForecaster();
 
-  const std::string &name() const override { return Name; }
-  void observe(double Value) override;
-  double predict() const override;
+  void observe(double Value);
+  double predict() const;
 
-  /// \returns the name of the member with the lowest MSE so far.
+  /// \returns the name of the member with the lowest MSE so far, e.g.
+  /// "sw_mean(10)".
   const std::string &bestMemberName() const;
 
   /// \returns the current MSE of member \p I (battery order).
@@ -169,9 +142,6 @@ public:
   /// prediction-accuracy harness ranks replicas under every member, not
   /// just the adaptive winner.
   double memberPredict(size_t I) const;
-
-  /// \returns member \p I's name (battery order).
-  const std::string &memberName(size_t I) const;
 
   /// \returns the battery size.
   size_t memberCount() const { return BatterySize; }
@@ -184,7 +154,11 @@ private:
 
   size_t bestIndex() const;
 
-  std::string Name;
+  /// Calls \p Visit on every member of \p S (*this, const or not) in
+  /// battery order.
+  template <typename Self, typename Fn>
+  static void forEachMember(Self &S, Fn &&Visit);
+
   // Battery order (fixed; MSE accumulation and tie-breaking depend on it):
   // last, run_mean, sw_mean(5,10,20,40), sw_median(5,10,20,40),
   // exp_smooth(0.05,0.25,0.75).
@@ -193,8 +167,6 @@ private:
   SlidingMeanForecaster Mean5, Mean10, Mean20, Mean40;
   SlidingMedianForecaster Median5, Median10, Median20, Median40;
   ExponentialSmoothingForecaster Smooth05, Smooth25, Smooth75;
-  /// The battery in order, for name()/MSE introspection.
-  Forecaster *Members[BatterySize];
   double SquaredError[BatterySize] = {};
   size_t Observations = 0;
 };

@@ -34,69 +34,63 @@ InformationService::InformationService(Simulator &Sim, FlowNetwork &Net,
 
 InformationService::~InformationService() { Sim.cancelPeriodic(TtlSweep); }
 
-SensorBatch *
-InformationService::batchFor(std::vector<std::unique_ptr<SensorBatch>> &Group,
-                             SimTime Period, size_t Index) {
+PeriodicBatch<Sensor> *InformationService::batchFor(
+    std::vector<std::unique_ptr<PeriodicBatch<Sensor>>> &Group,
+    SimTime Period, size_t Index) {
   if (!Config.BatchSensors)
     return nullptr;
   if (Group.empty())
     Group.resize(Config.StaggerGroups);
   size_t G = Index % Config.StaggerGroups;
   if (!Group[G])
-    Group[G] = std::make_unique<SensorBatch>(
+    Group[G] = std::make_unique<PeriodicBatch<Sensor>>(
         Sim, Period, Period * double(G) / double(Config.StaggerGroups));
   return Group[G].get();
 }
 
-SensorBatch *InformationService::hostBatch() {
-  return batchFor(HostBatches, Config.HostPeriod, Hosts.size());
-}
-
-SensorBatch *InformationService::pathBatch() {
-  return batchFor(PathBatches, Config.BandwidthPeriod, PathRoundRobin++);
+std::unique_ptr<Sensor> InformationService::makeSensor(
+    const char *Prefix, const char *Kind, SimTime Period,
+    PeriodicBatch<Sensor> *Batch, std::function<double()> Measure,
+    const Host *H, NodeId Server, NodeId Client) {
+  std::string Resource =
+      H ? H->name() : std::to_string(Server) + "->" + std::to_string(Client);
+  auto S = std::make_unique<Sensor>(Sim, Prefix + ("/" + Resource), Period,
+                                    std::move(Measure), Batch);
+  // A probe launched during a blackout measures nothing: the sensor is
+  // born suspended and its series stays empty until the blackout lifts.
+  S->setSuspended(Blackout);
+  if (GateEnabled)
+    S->setGateConfig(&Gate);
+  // Sensors created (or re-created after TTL eviction) inside a telemetry
+  // fault window inherit it, same as blackout suspension: the fault
+  // targets the host or path, not one incarnation of its sensors.
+  for (const TelemetryFault &F : ActiveFaults) {
+    bool Covers =
+        F.S == TelemetryFault::Scope::Global ||
+        (F.S == TelemetryFault::Scope::Host && F.TargetHost == H) ||
+        (F.S == TelemetryFault::Scope::Path && !H && F.Server == Server &&
+         F.Client == Client);
+    if (Covers)
+      applyTelemetryFault(*S, F, /*Begin=*/true);
+  }
+  // Prime the series so queries before the first tick see a value.
+  S->sampleNow();
+  Names.registerSensor(*S, Kind, Resource);
+  return S;
 }
 
 void InformationService::registerHost(const Host &H) {
   assert(HostIds.find(H.name()) == StringInterner::InvalidId &&
          "host already registered");
+  PeriodicBatch<Sensor> *B =
+      batchFor(HostBatches, Config.HostPeriod, Hosts.size());
   HostSensors S;
-  if (SensorBatch *B = hostBatch()) {
-    S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(), *B,
-                                     [&H] { return H.cpuIdle(); });
-    S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), *B,
-                                    [&H] { return H.ioIdle(); });
-    S.Mem = std::make_unique<Sensor>(Sim, "mem/" + H.name(), *B,
-                                     [&H] { return H.memFreeFraction(); });
-  } else {
-    S.Cpu = std::make_unique<Sensor>(Sim, "cpu/" + H.name(),
-                                     Config.HostPeriod,
-                                     [&H] { return H.cpuIdle(); });
-    S.Io = std::make_unique<Sensor>(Sim, "io/" + H.name(), Config.HostPeriod,
-                                    [&H] { return H.ioIdle(); });
-    S.Mem = std::make_unique<Sensor>(Sim, "mem/" + H.name(),
-                                     Config.HostPeriod,
-                                     [&H] { return H.memFreeFraction(); });
-  }
-  if (GateEnabled) {
-    S.Cpu->setGateConfig(&Gate);
-    S.Io->setGateConfig(&Gate);
-    S.Mem->setGateConfig(&Gate);
-  }
-  // A host registered mid-window inherits the global telemetry faults
-  // (host-scoped ones cannot target a host that did not exist at arm).
-  for (const TelemetryFault &F : ActiveFaults)
-    if (F.S == TelemetryFault::Scope::Global) {
-      applyTelemetryFault(*S.Cpu, F, /*Begin=*/true);
-      applyTelemetryFault(*S.Io, F, /*Begin=*/true);
-      applyTelemetryFault(*S.Mem, F, /*Begin=*/true);
-    }
-  // Prime the series so queries before the first tick see a value.
-  S.Cpu->sampleNow();
-  S.Io->sampleNow();
-  S.Mem->sampleNow();
-  Names.registerSensor(*S.Cpu, "cpu", H.name());
-  Names.registerSensor(*S.Io, "io", H.name());
-  Names.registerSensor(*S.Mem, "memory", H.name());
+  S.Cpu = makeSensor("cpu", "cpu", Config.HostPeriod, B,
+                     [&H] { return H.cpuIdle(); }, &H);
+  S.Io = makeSensor("io", "io", Config.HostPeriod, B,
+                    [&H] { return H.ioIdle(); }, &H);
+  S.Mem = makeSensor("mem", "memory", Config.HostPeriod, B,
+                     [&H] { return H.memFreeFraction(); }, &H);
   StringInterner::Id Id = HostIds.intern(H.name());
   assert(Id == Hosts.size() && "intern ids must stay dense");
   (void)Id;
@@ -142,45 +136,14 @@ InformationService::watchPathEntry(NodeId Client, NodeId Server) {
         Goodput > 0.0 ? 1.0 - std::min(Residual / Goodput, 1.0) : 0.0;
     return Rtt * (1.0 + 0.8 * Utilisation);
   };
-  std::string Suffix =
-      std::to_string(Server) + "->" + std::to_string(Client);
+  PeriodicBatch<Sensor> *B =
+      batchFor(PathBatches, Config.BandwidthPeriod, PathRoundRobin++);
   PathSensors PS;
   PS.LastQuery = Sim.now();
-  if (SensorBatch *B = pathBatch()) {
-    PS.Bandwidth =
-        std::make_unique<Sensor>(Sim, "bw/" + Suffix, *B, std::move(Probe));
-    PS.Latency =
-        std::make_unique<Sensor>(Sim, "lat/" + Suffix, *B, std::move(Ping));
-  } else {
-    PS.Bandwidth = std::make_unique<Sensor>(
-        Sim, "bw/" + Suffix, Config.BandwidthPeriod, std::move(Probe));
-    PS.Latency = std::make_unique<Sensor>(
-        Sim, "lat/" + Suffix, Config.BandwidthPeriod, std::move(Ping));
-  }
-  // A probe launched during a blackout measures nothing: the sensor is
-  // born suspended and its series stays empty until the blackout lifts.
-  PS.Bandwidth->setSuspended(Blackout);
-  PS.Latency->setSuspended(Blackout);
-  if (GateEnabled) {
-    PS.Bandwidth->setGateConfig(&Gate);
-    PS.Latency->setGateConfig(&Gate);
-  }
-  // Path sensors created (or re-created after TTL eviction) inside a
-  // telemetry fault window inherit it, same as blackout suspension: the
-  // fault targets the *path*, not one incarnation of its sensors.
-  for (const TelemetryFault &F : ActiveFaults) {
-    bool Match = F.S == TelemetryFault::Scope::Global ||
-                 (F.S == TelemetryFault::Scope::Path && F.Server == Server &&
-                  F.Client == Client);
-    if (Match) {
-      applyTelemetryFault(*PS.Bandwidth, F, /*Begin=*/true);
-      applyTelemetryFault(*PS.Latency, F, /*Begin=*/true);
-    }
-  }
-  PS.Bandwidth->sampleNow();
-  PS.Latency->sampleNow();
-  Names.registerSensor(*PS.Bandwidth, "bandwidth", Suffix);
-  Names.registerSensor(*PS.Latency, "latency", Suffix);
+  PS.Bandwidth = makeSensor("bw", "bandwidth", Config.BandwidthPeriod, B,
+                            std::move(Probe), nullptr, Server, Client);
+  PS.Latency = makeSensor("lat", "latency", Config.BandwidthPeriod, B,
+                          std::move(Ping), nullptr, Server, Client);
   return Paths.emplace(Key, std::move(PS)).first->second;
 }
 
@@ -306,6 +269,19 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
   return F;
 }
 
+template <typename Fn>
+void InformationService::forEachSensor(Fn &&Visit) const {
+  for (const HostSensors &S : Hosts) {
+    Visit(*S.Cpu);
+    Visit(*S.Io);
+    Visit(*S.Mem);
+  }
+  for (const auto &[Key, PS] : Paths) {
+    Visit(*PS.Bandwidth);
+    Visit(*PS.Latency);
+  }
+}
+
 void InformationService::applyTelemetryFault(Sensor &S,
                                              const TelemetryFault &F,
                                              bool Begin) {
@@ -320,15 +296,7 @@ void InformationService::routeTelemetryFault(const TelemetryFault &F,
                                              bool Begin) {
   switch (F.S) {
   case TelemetryFault::Scope::Global:
-    for (HostSensors &S : Hosts) {
-      applyTelemetryFault(*S.Cpu, F, Begin);
-      applyTelemetryFault(*S.Io, F, Begin);
-      applyTelemetryFault(*S.Mem, F, Begin);
-    }
-    for (auto &[Key, PS] : Paths) {
-      applyTelemetryFault(*PS.Bandwidth, F, Begin);
-      applyTelemetryFault(*PS.Latency, F, Begin);
-    }
+    forEachSensor([&](Sensor &S) { applyTelemetryFault(S, F, Begin); });
     break;
   case TelemetryFault::Scope::Host: {
     StringInterner::Id Id = HostIds.find(F.TargetHost->name());
@@ -377,37 +345,21 @@ void InformationService::setSensorGate(bool V) {
     return;
   GateEnabled = V;
   const GateConfig *Cfg = V ? &Gate : nullptr;
-  for (HostSensors &S : Hosts) {
-    S.Cpu->setGateConfig(Cfg);
-    S.Io->setGateConfig(Cfg);
-    S.Mem->setGateConfig(Cfg);
-  }
-  for (auto &[Key, PS] : Paths) {
-    PS.Bandwidth->setGateConfig(Cfg);
-    PS.Latency->setGateConfig(Cfg);
-  }
+  forEachSensor([Cfg](Sensor &S) { S.setGateConfig(Cfg); });
 }
 
 uint64_t InformationService::gateRejections() const {
   uint64_t N = RetiredRejections;
-  for (const HostSensors &S : Hosts)
-    N += S.Cpu->gateRejected() + S.Io->gateRejected() +
-         S.Mem->gateRejected();
-  for (const auto &[Key, PS] : Paths)
-    N += PS.Bandwidth->gateRejected() + PS.Latency->gateRejected();
+  forEachSensor([&N](const Sensor &S) { N += S.gateRejected(); });
   return N;
 }
 
 uint64_t InformationService::droppedSamples() const {
-  auto DroppedOf = [](const Sensor &S) {
-    const SensorFaultState *F = S.faultState();
-    return F ? F->Dropped : uint64_t{0};
-  };
   uint64_t N = RetiredDropped;
-  for (const HostSensors &S : Hosts)
-    N += DroppedOf(*S.Cpu) + DroppedOf(*S.Io) + DroppedOf(*S.Mem);
-  for (const auto &[Key, PS] : Paths)
-    N += DroppedOf(*PS.Bandwidth) + DroppedOf(*PS.Latency);
+  forEachSensor([&N](const Sensor &S) {
+    if (const SensorFaultState *F = S.faultState())
+      N += F->Dropped;
+  });
   return N;
 }
 
@@ -415,15 +367,7 @@ void InformationService::setBlackout(bool V) {
   if (Blackout == V)
     return;
   Blackout = V;
-  for (HostSensors &S : Hosts) {
-    S.Cpu->setSuspended(V);
-    S.Io->setSuspended(V);
-    S.Mem->setSuspended(V);
-  }
-  for (auto &[Key, PS] : Paths) {
-    PS.Bandwidth->setSuspended(V);
-    PS.Latency->setSuspended(V);
-  }
+  forEachSensor([V](Sensor &S) { S.setSuspended(V); });
 }
 
 void InformationService::evictIdlePaths() {

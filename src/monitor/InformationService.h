@@ -32,6 +32,7 @@
 #include "net/FlowNetwork.h"
 #include "support/StringInterner.h"
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -134,8 +135,8 @@ struct InformationServiceConfig {
   // creation time), which the golden figures depend on; large-grid benches
   // opt in.
 
-  /// Multiplex sensors behind shared SensorBatch ticks instead of one
-  /// kernel event per sensor.  Changes *when* lazily-created path sensors
+  /// Multiplex sensors behind shared batch ticks instead of one kernel
+  /// event per sensor.  Changes *when* lazily-created path sensors
   /// sample (they join the batch grid rather than anchoring at creation),
   /// so this is opt-in.
   bool BatchSensors = false;
@@ -148,7 +149,7 @@ struct InformationServiceConfig {
   /// them).  0 keeps every path sensor forever.
   SimTime PathSensorTtl = 0.0;
   /// Drive every host-load OU process (CPU, memory, disk background) from
-  /// one shared CpuLoadBatch instead of three periodic events per host.
+  /// one shared batch instead of three periodic events per host.
   /// Load trajectories are identical either way (each model owns its RNG
   /// stream); only the kernel event population changes, so large-grid
   /// benches opt in.  Consumed by DataGrid, carried here with the other
@@ -362,10 +363,27 @@ private:
 
   /// \returns the stagger-group batch for new host/path sensors, creating
   /// it lazily; nullptr when batching is off (sensors self-schedule).
-  SensorBatch *hostBatch();
-  SensorBatch *pathBatch();
-  SensorBatch *batchFor(std::vector<std::unique_ptr<SensorBatch>> &Group,
-                        SimTime Period, size_t Index);
+  PeriodicBatch<Sensor> *
+  batchFor(std::vector<std::unique_ptr<PeriodicBatch<Sensor>>> &Group,
+           SimTime Period, size_t Index);
+
+  /// The one sensor construction path.  Builds "\p Prefix/<resource>" on
+  /// \p Batch (null: self-scheduled every \p Period), born suspended in a
+  /// blackout, gated while the gate is on, under every active telemetry
+  /// fault whose scope covers it; then primes it with one sample and
+  /// registers it with the nameserver as \p Kind.  The resource is host
+  /// \p H's name for load sensors, "Server->Client" for path sensors
+  /// (\p H null).
+  std::unique_ptr<Sensor> makeSensor(const char *Prefix, const char *Kind,
+                                     SimTime Period,
+                                     PeriodicBatch<Sensor> *Batch,
+                                     std::function<double()> Measure,
+                                     const Host *H, NodeId Server = 0,
+                                     NodeId Client = 0);
+
+  /// Visits every live sensor: hosts in registration order (cpu, io,
+  /// memory), then path sensors (bandwidth, latency) in map order.
+  template <typename Fn> void forEachSensor(Fn &&Visit) const;
 
   /// Destroys path sensors idle past the TTL; their nameserver records are
   /// retired, not erased, so recreation rebinds them.
@@ -386,8 +404,8 @@ private:
   NwsMemory Memory;
   /// Batches must outlive their member sensors (sensor destructors detach
   /// from their batch), so they are declared before Hosts and Paths.
-  std::vector<std::unique_ptr<SensorBatch>> HostBatches;
-  std::vector<std::unique_ptr<SensorBatch>> PathBatches;
+  std::vector<std::unique_ptr<PeriodicBatch<Sensor>>> HostBatches;
+  std::vector<std::unique_ptr<PeriodicBatch<Sensor>>> PathBatches;
   uint64_t PathRoundRobin = 0;
   EventId TtlSweep = InvalidEventId;
   /// Host name -> dense id; ids index Hosts.

@@ -28,23 +28,6 @@ void LeastSquaresAccumulator::add(double X, double Y) {
   Sx2y += X2 * Y;
 }
 
-void LeastSquaresAccumulator::remove(double X, double Y) {
-  assert(N > 0 && "removing from an empty accumulator");
-  assert(std::isfinite(X) && std::isfinite(Y) &&
-         "least-squares inputs must be finite");
-  --N;
-  double X2 = X * X;
-  Sx -= X;
-  Sx2 -= X2;
-  Sx3 -= X2 * X;
-  Sx4 -= X2 * X2;
-  Sy -= Y;
-  Sxy -= X * Y;
-  Sx2y -= X2 * Y;
-  if (N == 0)
-    reset(); // Snap the residue to exact zero at the natural boundary.
-}
-
 namespace {
 
 /// |Det| <= RelEps * (sum of the expansion terms' magnitudes) means the
@@ -118,6 +101,11 @@ PolyCoeffs LeastSquaresAccumulator::fit(unsigned Degree) const {
 
 static double mbOf(Bytes FileBytes) {
   return FileBytes / (1024.0 * 1024.0);
+}
+
+TransferForecaster::TransferForecaster(size_t HistoryCapacity)
+    : HistoryCapacity(HistoryCapacity) {
+  assert(HistoryCapacity > 0 && "the observation ring needs capacity");
 }
 
 size_t TransferForecaster::sizeBucket(double Mb) {
@@ -201,18 +189,27 @@ double TransferForecaster::armPredict(size_t I, Bytes FileBytes,
 void TransferForecaster::fillRobustScratch() const {
   ScratchX.clear();
   ScratchY.clear();
-  ScratchX.reserve(RWinCount);
-  ScratchY.reserve(RWinCount);
-  for (size_t I = 0; I != RWinCount; ++I) {
-    const auto &P = RWin[(RWinHead + I) % RobustWindow];
-    ScratchX.push_back(P.first);
-    ScratchY.push_back(P.second);
+  size_t Count = Ring.size();
+  for (size_t I = Count - std::min(Count, RobustArmWindow); I != Count; ++I) {
+    const TransferObservation &O = Ring[(Head + I) % Count];
+    ScratchX.push_back(mbOf(O.FileBytes));
+    ScratchY.push_back(O.Throughput);
   }
+}
+
+std::vector<TransferObservation> TransferForecaster::history() const {
+  std::vector<TransferObservation> Out;
+  Out.reserve(Ring.size());
+  for (size_t I = 0; I != Ring.size(); ++I)
+    Out.push_back(Ring[(Head + I) % Ring.size()]);
+  return Out;
 }
 
 void TransferForecaster::setRobustArms(bool V) {
   if (RobustArms == V)
     return;
+  assert((!V || HistoryCapacity >= RobustArmWindow) &&
+         "the robust arms need a full window of history");
   RobustArms = V;
   ++StateVersion;
 }
@@ -303,21 +300,16 @@ void TransferForecaster::observe(const TransferObservation &O,
         updateQuarantine(I, std::fabs(E));
     }
   }
+  if (Ring.size() < HistoryCapacity) {
+    Ring.push_back(O);
+  } else {
+    Ring[Head] = O;
+    Head = Head + 1 == HistoryCapacity ? 0 : Head + 1;
+  }
   double Mb = mbOf(O.FileBytes);
   Global.add(Mb, O.Throughput);
   BySize[sizeBucket(Mb)].add(Mb, O.Throughput);
   ByStreams[streamBucket(O.Streams)].add(Mb, O.Throughput);
-  if (RobustArms) {
-    if (RWin.empty())
-      RWin.resize(RobustWindow);
-    if (RWinCount < RobustWindow) {
-      RWin[(RWinHead + RWinCount) % RobustWindow] = {Mb, O.Throughput};
-      ++RWinCount;
-    } else {
-      RWin[RWinHead] = {Mb, O.Throughput};
-      RWinHead = (RWinHead + 1) % RobustWindow;
-    }
-  }
   ++Observations;
 }
 

@@ -74,15 +74,6 @@ class LeastSquaresAccumulator {
 public:
   void add(double X, double Y);
 
-  /// Removes one previously-added observation by subtracting its power
-  /// sums.  Subtraction cancels rather than erases — FP residue remains —
-  /// so windowed owners (WindowedLeastSquares) re-sum exactly from their
-  /// ring every few hundred evictions; see monitor/Robust.h.
-  void remove(double X, double Y);
-
-  /// Forgets everything (the exact-re-sum path rebuilds from here).
-  void reset() { *this = LeastSquaresAccumulator(); }
-
   size_t count() const { return N; }
 
   /// Mean of the observed y values; 0 with no samples.
@@ -120,12 +111,12 @@ private:
 ///   6  log_trim          25%-trimmed mean over the recent window
 ///   7  log_huber(mb)     Huber M-estimator line vs size over the window
 ///
-/// Arms 6 and 7 are the robust battery (DESIGN.md §15): they train on a
-/// ring window of recent observations and resist poisoned appends that
-/// the squared-loss arms chase.  They exist only when setRobustArms(true)
-/// has been called — disabled they are never scored, never trained, and
-/// never compete in bestArm(), so a forecaster with the robust pipeline
-/// off is bit-identical to the six-arm original.
+/// Arms 6 and 7 are the robust battery (DESIGN.md §15): they fit the
+/// newest RobustArmWindow observations of the path's observation ring and
+/// resist poisoned appends that the squared-loss arms chase.  They exist
+/// only when setRobustArms(true) has been called — disabled they are
+/// never scored and never compete in bestArm(), so a forecaster with the
+/// robust pipeline off is bit-identical to the six-arm original.
 ///
 /// Like NwsForecaster, each arm is scored on its postcast error *before*
 /// the observation is ingested (the first observation trains only), and
@@ -169,6 +160,13 @@ public:
   /// First robust arm (log_trim); arms >= this exist only when
   /// setRobustArms(true).
   static constexpr size_t FirstRobustArm = 6;
+  /// The robust arms fit at most this many of the newest observations.
+  static constexpr size_t RobustArmWindow = 64;
+
+  /// \p HistoryCapacity bounds the ring of admitted observations the
+  /// robust arms and history() read (>= RobustArmWindow to enable the
+  /// robust arms).
+  explicit TransferForecaster(size_t HistoryCapacity = 256);
 
   /// Scores every arm against \p O, then trains the log arms on it.
   /// \p ProbeForecast is the path's NWS bandwidth forecast at completion
@@ -203,8 +201,12 @@ public:
   /// \returns observations ingested.
   size_t observationCount() const { return Observations; }
 
-  /// Enables the robust arms (6: trimmed mean, 7: Huber line) and their
-  /// observation window.  Off by default; flipping bumps stateVersion().
+  /// \returns the ring's observations, oldest first (at most the history
+  /// capacity; copies, the ring is not contiguous).
+  std::vector<TransferObservation> history() const;
+
+  /// Enables the robust arms (6: trimmed mean, 7: Huber line).  Off by
+  /// default; flipping bumps stateVersion().
   void setRobustArms(bool V);
   bool robustArms() const { return RobustArms; }
 
@@ -238,7 +240,8 @@ private:
   static size_t streamBucket(unsigned Streams);
 
   void updateQuarantine(size_t I, double AbsResidual);
-  /// Copies the robust window (oldest first) into ScratchX/ScratchY.
+  /// Copies the newest RobustArmWindow ring entries (oldest first) into
+  /// ScratchX (MB) / ScratchY (throughput).
   void fillRobustScratch() const;
 
   LeastSquaresAccumulator Global;
@@ -248,15 +251,16 @@ private:
   size_t Scored[ArmCount] = {};
   size_t Observations = 0;
 
-  /// Robust battery state: the (MB, throughput) ring the trimmed/Huber
-  /// arms train on, allocated only when enabled.  Scratch is reused
-  /// across armPredict calls (predict() is const and hot).
-  static constexpr size_t RobustWindow = 64;
+  /// Ring of the last HistoryCapacity admitted observations; grows to
+  /// capacity, then Head is the oldest.
+  std::vector<TransferObservation> Ring;
+  size_t HistoryCapacity;
+  size_t Head = 0;
+
   bool RobustArms = false;
   bool Quarantine = false;
-  std::vector<std::pair<double, double>> RWin;
-  size_t RWinHead = 0;
-  size_t RWinCount = 0;
+  /// Robust-arm fit inputs, reused across armPredict calls (predict() is
+  /// const and hot).
   mutable std::vector<double> ScratchX, ScratchY;
   std::vector<ArmQuarantine> Health; // ArmCount entries when quarantining.
   uint64_t Benches = 0;

@@ -13,9 +13,9 @@
 ///
 /// Sensors come in two scheduling modes.  A self-scheduled sensor owns one
 /// periodic kernel event (the historical behaviour, and still the default).
-/// A batch-driven sensor is sampled by a SensorBatch, which multiplexes any
-/// number of same-period sensors behind a single periodic event — at 10k+
-/// sensors the per-sensor events otherwise dominate the event heap.
+/// A batch-driven sensor is sampled by a PeriodicBatch, which multiplexes
+/// any number of same-period sensors behind a single periodic event — at
+/// 10k+ sensors the per-sensor events otherwise dominate the event heap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 
 #include "monitor/Forecaster.h"
 #include "monitor/Robust.h"
+#include "sim/PeriodicBatch.h"
 #include "sim/Simulator.h"
 #include "support/Random.h"
 #include "support/TimeSeries.h"
@@ -32,11 +33,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace dgsim {
 
-class SensorBatch;
 enum class FaultKind : uint8_t;
 
 /// Data-plane corruption state of one sensor (DESIGN.md §15), allocated
@@ -70,20 +69,18 @@ struct SensorFaultState {
 /// A periodic sensor over a measurement closure.
 class Sensor {
 public:
-  /// Self-scheduled: the sensor owns a periodic event firing every
-  /// \p Period seconds, first at creation time.
   /// \param Name unique sensor name, e.g. "bw/alpha1->hit0".
   /// \param Period sampling period, seconds.
   /// \param Measure closure producing the current value of the resource.
+  /// \param Batch null: the sensor owns a periodic event firing every
+  ///        \p Period seconds, first at creation time.  Otherwise the
+  ///        sensor is sampled whenever \p Batch ticks (its period must be
+  ///        \p Period), owns no kernel event and detaches on destruction.
   /// \param HistoryCapacity samples retained (0 = unbounded).
   Sensor(Simulator &Sim, std::string Name, SimTime Period,
-         std::function<double()> Measure, size_t HistoryCapacity = 512);
-
-  /// Batch-driven: the sensor is sampled whenever \p Batch ticks (plus the
-  /// registration-time sample the batch takes on add).  It owns no kernel
-  /// event and detaches from the batch on destruction.
-  Sensor(Simulator &Sim, std::string Name, SensorBatch &Batch,
-         std::function<double()> Measure, size_t HistoryCapacity = 512);
+         std::function<double()> Measure,
+         PeriodicBatch<Sensor> *Batch = nullptr,
+         size_t HistoryCapacity = 512);
 
   ~Sensor();
 
@@ -161,7 +158,9 @@ public:
   double clockSkew() const;
 
 private:
-  friend class SensorBatch;
+  friend class PeriodicBatch<Sensor>;
+
+  void tick() { sampleNow(); }
 
   /// Ingests one already-measured sample: history + forecaster battery.
   /// The corrupted/gated path branches out once, so the healthy fast path
@@ -188,45 +187,14 @@ private:
   TimeSeries History;
   NwsForecaster Fc;
   EventId Periodic = InvalidEventId;
-  /// Batch membership (batch-driven mode); maintained by SensorBatch.
-  SensorBatch *Batch = nullptr;
+  /// Batch membership (batch-driven mode); maintained by the batch.
+  PeriodicBatch<Sensor> *Batch = nullptr;
   size_t BatchPos = 0;
   uint64_t Version = 0;
   bool Suspended = false;
   std::unique_ptr<SensorFaultState> Faults;
   const GateConfig *GateCfg = nullptr;
   PlausibilityGate Gate;
-};
-
-/// Samples a set of same-period sensors behind one periodic kernel event.
-///
-/// Members are sampled in registration order at every tick, which keeps
-/// runs deterministic.  Removal (sensor destruction) nulls the member slot
-/// in O(1); the member list compacts when half of it is dead.  The tick
-/// phase lets an owner stagger several batches across one period so a
-/// large sensor population does not sample in a single burst.
-class SensorBatch {
-public:
-  /// Ticks every \p Period seconds, first \p Phase seconds after creation.
-  SensorBatch(Simulator &Sim, SimTime Period, SimTime Phase = 0.0);
-  ~SensorBatch();
-
-  SensorBatch(const SensorBatch &) = delete;
-  SensorBatch &operator=(const SensorBatch &) = delete;
-
-  size_t size() const { return Members.size() - Dead; }
-
-private:
-  friend class Sensor;
-
-  void add(Sensor &S);
-  void remove(Sensor &S);
-  void tick();
-
-  Simulator &Sim;
-  EventId Periodic = InvalidEventId;
-  std::vector<Sensor *> Members;
-  size_t Dead = 0;
 };
 
 } // namespace dgsim

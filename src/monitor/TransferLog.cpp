@@ -20,7 +20,7 @@ TransferLog::TransferLog(size_t HistoryCapacity)
 }
 
 TransferLog::PathLog &TransferLog::pathFor(uint64_t Key) {
-  auto [It, Inserted] = Paths.try_emplace(Key);
+  auto [It, Inserted] = Paths.try_emplace(Key, HistoryCapacity);
   if (Inserted) {
     It->second.Fc.setRobustArms(RobustArms);
     It->second.Fc.setQuarantine(Quarantine);
@@ -60,13 +60,6 @@ void TransferLog::append(NodeId Server, NodeId Client,
     // version (and with it the factor cache) stays put.
     ++Rejected;
     return;
-  }
-  if (P.Ring.size() < HistoryCapacity) {
-    P.Ring.push_back(Obs);
-    ++P.Count;
-  } else {
-    P.Ring[P.Head] = Obs;
-    P.Head = P.Head + 1 == HistoryCapacity ? 0 : P.Head + 1;
   }
   P.Fc.observe(Obs, ProbeForecast);
   ++P.Version;
@@ -146,13 +139,8 @@ const TransferForecaster *TransferLog::forecaster(NodeId Server,
 
 std::vector<TransferObservation>
 TransferLog::history(NodeId Server, NodeId Client) const {
-  std::vector<TransferObservation> Out;
   auto It = Paths.find(logKey(Server, Client));
   if (It == Paths.end())
-    return Out;
-  const PathLog &P = It->second;
-  Out.reserve(P.Count);
-  for (size_t I = 0; I != P.Count; ++I)
-    Out.push_back(P.Ring[(P.Head + I) % P.Ring.size()]);
-  return Out;
+    return {};
+  return It->second.Fc.history();
 }

@@ -9,11 +9,11 @@
 /// links on a schedule, the TransferLog *observes* every completed GridFTP
 /// transfer (size, streams, duration, achieved throughput) per
 /// (server, client) path — the end-to-end signal Allcock et al. argue
-/// actually predicts replica fetch time.  Each path keeps a ring-buffered
-/// observation history and a TransferForecaster (the probe-vs-log
-/// minimum-MSE meta-selector), and a sensor-style version counter bumped
-/// on every append so InformationService's factor cache revalidates in
-/// one integer compare — appends never disturb the epoch-cached fast
+/// actually predicts replica fetch time.  Each path keeps a
+/// TransferForecaster (the probe-vs-log minimum-MSE meta-selector, which
+/// holds the path's ring-buffered observation history) and a sensor-style
+/// version counter bumped on every append so InformationService's factor
+/// cache revalidates in one integer compare — appends never disturb the epoch-cached fast
 /// path, they just invalidate exactly the entries they affect.
 ///
 /// Appends happen inside transfer-completion callbacks on the kernel's
@@ -40,8 +40,8 @@ namespace dgsim {
 /// Per-path transfer observations and log-trained predictors.
 class TransferLog {
 public:
-  /// \p HistoryCapacity bounds the per-path observation ring (the running
-  /// fits see every observation; the ring is the introspectable window).
+  /// \p HistoryCapacity bounds the per-path observation ring: history()
+  /// and the robust arms read it, the running fits see every observation.
   explicit TransferLog(size_t HistoryCapacity = 256);
 
   /// Records a completed transfer \p Server -> \p Client.  \p ProbeForecast
@@ -125,11 +125,8 @@ public:
 
 private:
   struct PathLog {
-    /// Ring of the last HistoryCapacity observations; Head is the oldest
-    /// once full.
-    std::vector<TransferObservation> Ring;
-    size_t Head = 0;
-    size_t Count = 0;
+    explicit PathLog(size_t HistoryCapacity) : Fc(HistoryCapacity) {}
+
     TransferForecaster Fc;
     PlausibilityGate PathGate;
     uint64_t Version = 0;

@@ -49,10 +49,7 @@ Host *BandwidthOnlyPolicy::choose(NodeId Client,
   Host *Best = nullptr;
   double BestBw = -1.0;
   for (Host *H : Candidates) {
-    SystemFactors F = Info.query(Client, *H);
-    double Bw = F.PredictedBandwidth * healthFactor(*H);
-    if (ConfidenceBeta > 0.0)
-      Bw *= (1.0 - ConfidenceBeta) + ConfidenceBeta * F.BwConfidence;
+    double Bw = Info.query(Client, *H).PredictedBandwidth * healthFactor(*H);
     if (Bw > BestBw) {
       BestBw = Bw;
       Best = H;

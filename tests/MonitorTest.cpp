@@ -44,7 +44,6 @@ TEST(Forecaster, SlidingMeanWindow) {
   for (double X : {1.0, 2.0, 3.0, 4.0, 5.0})
     F.observe(X);
   EXPECT_DOUBLE_EQ(F.predict(), 4.0); // mean(3,4,5)
-  EXPECT_EQ(F.name(), "sw_mean(3)");
 }
 
 TEST(Forecaster, SlidingMedianOddEven) {
@@ -153,7 +152,7 @@ TEST(Sensor, ForecastFollowsMeasurements) {
 
 TEST(Sensor, HistoryCapacityBounds) {
   Simulator Sim(3);
-  Sensor S(Sim, "test", 1.0, [] { return 1.0; }, 8);
+  Sensor S(Sim, "test", 1.0, [] { return 1.0; }, nullptr, 8);
   Sim.runUntil(100.0);
   EXPECT_EQ(S.history().size(), 8u);
 }

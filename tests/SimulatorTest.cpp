@@ -4,11 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sim/PeriodicBatch.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -408,4 +410,117 @@ TEST(EventCallback, MoveTransfersOwnership) {
   EXPECT_TRUE(static_cast<bool>(B));
   B();
   EXPECT_EQ(Seen, 5);
+}
+
+//===----------------------------------------------------------------------===//
+// PeriodicBatch
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A minimal batch member: logs its id on every tick, then runs an
+/// optional hook.
+class Ticker {
+public:
+  Ticker(int Id, std::vector<int> &Log, PeriodicBatch<Ticker> &B)
+      : Id(Id), Log(Log) {
+    B.add(*this);
+  }
+  ~Ticker() {
+    if (Batch)
+      Batch->remove(*this);
+  }
+
+  size_t pos() const { return BatchPos; }
+  std::function<void()> OnTick;
+
+private:
+  friend class PeriodicBatch<Ticker>;
+
+  void tick() {
+    Log.push_back(Id);
+    if (OnTick)
+      OnTick();
+  }
+
+  int Id;
+  std::vector<int> &Log;
+  PeriodicBatch<Ticker> *Batch = nullptr;
+  size_t BatchPos = 0;
+};
+
+} // namespace
+
+TEST(PeriodicBatch, TicksMembersInRegistrationOrder) {
+  Simulator Sim;
+  PeriodicBatch<Ticker> B(Sim, 1.0);
+  std::vector<int> Log;
+  Ticker T2(2, Log, B), T0(0, Log, B), T1(1, Log, B);
+  EXPECT_EQ(B.size(), 3u);
+  Sim.runUntil(2.5); // Ticks at 0, 1 and 2.
+  EXPECT_EQ(Log, (std::vector<int>{2, 0, 1, 2, 0, 1, 2, 0, 1}));
+}
+
+TEST(PeriodicBatch, RemovedMemberStopsTickingMidRun) {
+  Simulator Sim;
+  PeriodicBatch<Ticker> B(Sim, 1.0);
+  std::vector<int> Log;
+  Ticker T0(0, Log, B);
+  auto T1 = std::make_unique<Ticker>(1, Log, B);
+  Ticker T2(2, Log, B);
+  Sim.runUntil(0.5);
+  T1.reset();
+  EXPECT_EQ(B.size(), 2u);
+  Sim.runUntil(1.5);
+  EXPECT_EQ(Log, (std::vector<int>{0, 1, 2, 0, 2}));
+}
+
+TEST(PeriodicBatch, CompactsAtHalfDeadKeepingOrder) {
+  Simulator Sim;
+  PeriodicBatch<Ticker> B(Sim, 1.0);
+  std::vector<int> Log;
+  std::vector<std::unique_ptr<Ticker>> Ts;
+  for (int I = 0; I != 6; ++I)
+    Ts.push_back(std::make_unique<Ticker>(I, Log, B));
+  // Three dead of six is exactly half: the slots stay where they are.
+  for (int I : {0, 2, 4})
+    Ts[I].reset();
+  EXPECT_EQ(Ts[5]->pos(), 5u);
+  // A fourth death tips past half: the survivors compact, in order.
+  Ts[1].reset();
+  EXPECT_EQ(B.size(), 2u);
+  EXPECT_EQ(Ts[3]->pos(), 0u);
+  EXPECT_EQ(Ts[5]->pos(), 1u);
+  // Compacted positions stay valid for removal and new members append.
+  Ticker T6(6, Log, B);
+  EXPECT_EQ(T6.pos(), 2u);
+  Ts[3].reset();
+  Sim.runUntil(0.5);
+  EXPECT_EQ(Log, (std::vector<int>{5, 6}));
+}
+
+TEST(PeriodicBatch, MemberAddedDuringTickStartsNextTick) {
+  Simulator Sim;
+  PeriodicBatch<Ticker> B(Sim, 1.0);
+  std::vector<int> Log;
+  std::unique_ptr<Ticker> Late;
+  Ticker T0(0, Log, B);
+  T0.OnTick = [&] {
+    if (!Late)
+      Late = std::make_unique<Ticker>(1, Log, B);
+  };
+  Sim.runUntil(1.5);
+  EXPECT_EQ(Log, (std::vector<int>{0, 0, 1}));
+}
+
+TEST(PeriodicBatch, PhaseOffsetsEveryTick) {
+  Simulator Sim;
+  PeriodicBatch<Ticker> B(Sim, 10.0, 4.0);
+  EXPECT_DOUBLE_EQ(B.period(), 10.0);
+  std::vector<int> Log;
+  std::vector<SimTime> When;
+  Ticker T(0, Log, B);
+  T.OnTick = [&] { When.push_back(Sim.now()); };
+  Sim.runUntil(25.0);
+  EXPECT_EQ(When, (std::vector<SimTime>{4.0, 14.0, 24.0}));
 }

@@ -7,9 +7,8 @@
 /// \file
 /// Locks the Byzantine-telemetry layer (DESIGN.md §15) down:
 ///
-///   * Robust estimation primitives: median/MAD, trimmed mean, Huber IRLS
-///     lines, and the windowed least-squares ring whose exact re-sum keeps
-///     FP cancellation residue from accumulating over long churn.
+///   * Robust estimation primitives: median/MAD, trimmed mean and Huber
+///     IRLS lines.
 ///   * The plausibility gate: cold-start admission on faith, median/MAD
 ///     rejection of implausible jumps, scale floors for near-constant
 ///     streams, and the reject-streak bookkeeping behind BwConfidence.
@@ -96,58 +95,6 @@ TEST(RobustStatsTest, HuberLineResistsOneOutlier) {
   EXPECT_LT(std::fabs(H.C1 - 2.0), std::fabs(L.C1 - 2.0));
   EXPECT_LT(std::fabs(H.C1 - 2.0), 0.5);
   EXPECT_LT(std::fabs(H.C0 - 1.0), 5.0);
-}
-
-TEST(WindowedLeastSquaresTest, RingKeepsOnlyTheRecentWindow) {
-  WindowedLeastSquares W(4);
-  for (int I = 0; I != 6; ++I)
-    W.add(I, 10.0 * I);
-  EXPECT_EQ(W.count(), 4u);
-  EXPECT_EQ(W.capacity(), 4u);
-
-  std::vector<double> Xs, Ys;
-  W.window(Xs, Ys);
-  ASSERT_EQ(Xs.size(), 4u);
-  EXPECT_DOUBLE_EQ(Xs.front(), 2.0); // Oldest survivor.
-  EXPECT_DOUBLE_EQ(Xs.back(), 5.0);
-  EXPECT_DOUBLE_EQ(W.mean(), (20.0 + 30.0 + 40.0 + 50.0) / 4.0);
-
-  // The surviving points are exactly linear; the fit must be too.
-  PolyCoeffs C = W.fit(1);
-  ASSERT_EQ(C.Degree, 1u);
-  EXPECT_NEAR(C.C1, 10.0, 1e-9);
-  EXPECT_NEAR(C.C0, 0.0, 1e-7);
-}
-
-// The FP-drift regression (DESIGN.md §15): power-sum subtraction cancels
-// rather than erases, so a naive sliding accumulator drifts over long
-// churn.  After a million throughput-magnitude appends the windowed fit
-// must match an accumulator freshly summed from the surviving window.
-TEST(WindowedLeastSquaresTest, MillionAppendChurnMatchesFreshResum) {
-  WindowedLeastSquares W(64);
-  RandomEngine Rng(20260810);
-  for (int I = 0; I != 1000000; ++I) {
-    double X = Rng.uniform(1.0, 512.0);           // File size, MB.
-    double Y = 2.0e6 * X + Rng.uniform(0.0, 1e8); // Throughput, bits/s.
-    W.add(X, Y);
-  }
-  std::vector<double> Xs, Ys;
-  W.window(Xs, Ys);
-  ASSERT_EQ(Xs.size(), 64u);
-
-  LeastSquaresAccumulator Fresh;
-  for (size_t I = 0; I != Xs.size(); ++I)
-    Fresh.add(Xs[I], Ys[I]);
-
-  PolyCoeffs A = W.fit(1), B = Fresh.fit(1);
-  ASSERT_EQ(A.Degree, 1u);
-  ASSERT_EQ(B.Degree, 1u);
-  EXPECT_NEAR(A.C1, B.C1, 1e-6 * std::fabs(B.C1));
-  EXPECT_NEAR(A.C0, B.C0, 1e-6 * std::fabs(B.C0) + 1.0);
-  EXPECT_NEAR(W.mean(), Fresh.mean(), 1e-9 * std::fabs(Fresh.mean()));
-  // The quadratic path exercises the x^3/x^4 sums too.
-  PolyCoeffs A2 = W.fit(2), B2 = Fresh.fit(2);
-  EXPECT_NEAR(A2.eval(256.0), B2.eval(256.0), 1e-6 * std::fabs(B2.eval(256.0)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -472,6 +419,92 @@ TEST(QuarantineTest, BenchesByzantineArmThenReprobesAndReadmits) {
   EXPECT_GT(F.benchCount(), 1u);
 }
 
+/// Six hundred appends on one path with the whole robust pipeline on and a
+/// poison window in the middle: past the 256-entry history capacity and
+/// far past the robust arms' 64-entry window, so the journal pins what
+/// those arms fit (through their predictions) and the ring's order after
+/// wrap-around.
+std::string runRobustLogJournal() {
+  TransferLog Log;
+  Log.gateConfig().MinSamples = 4;
+  Log.setRobust(/*GateAppends=*/true, /*RobustArms=*/true,
+                /*Quarantine=*/true);
+  RandomEngine Rng(20261019);
+  std::string Journal;
+  char Line[192];
+  for (int I = 0; I != 600; ++I) {
+    if (I == 200)
+      Log.beginCorrupt(/*Seed=*/4242, /*Scale=*/1.5);
+    if (I == 320)
+      Log.endCorrupt();
+    double Mb = Rng.uniform(1.0, 512.0);
+    double Tput = 2.0e6 * Mb + 5.0e7 + Rng.uniform(0.0, 2.0e7);
+    Log.append(1, 2, obsAt(I, Mb, Tput), 1.2e9);
+    if (I % 25 != 24)
+      continue;
+    const TransferForecaster *Fc = Log.forecaster(1, 2);
+    std::snprintf(Line, sizeof(Line),
+                  "i=%d best=%zu trim=%.17g huber=%.17g benches=%llu\n", I,
+                  Fc->bestArm(), Fc->armPredict(6, megabytes(100.0), 4, NAN),
+                  Fc->armPredict(7, megabytes(100.0), 4, NAN),
+                  static_cast<unsigned long long>(Fc->benchCount()));
+    Journal += Line;
+  }
+  std::vector<TransferObservation> H = Log.history(1, 2);
+  std::snprintf(Line, sizeof(Line),
+                "history=%zu first=%.17g last=%.17g rej=%llu corr=%llu\n",
+                H.size(), H.front().When, H.back().When,
+                static_cast<unsigned long long>(Log.rejectedAppends()),
+                static_cast<unsigned long long>(Log.corruptedAppends()));
+  Journal += Line;
+  const TransferForecaster *Fc = Log.forecaster(1, 2);
+  for (size_t A = 0; A != TransferForecaster::ArmCount; ++A) {
+    std::snprintf(Line, sizeof(Line), "arm %zu mse=%.17g scored=%zu\n", A,
+                  Fc->armMse(A), Fc->armScored(A));
+    Journal += Line;
+  }
+  return Journal;
+}
+
+// Captured before the robust arms' private window was merged into the
+// path's observation ring; any change to what the arms fit shows here.
+TEST(TransferLogRingTest, RobustArmsMatchPinnedJournal) {
+  EXPECT_EQ(runRobustLogJournal(),
+    "i=24 best=2 trim=619207225.3292855 huber=259744460.19505149 benches=1\n"
+    "i=49 best=2 trim=640384296.32926118 huber=257020853.95414233 benches=2\n"
+    "i=74 best=2 trim=670443644.95377803 huber=257186324.1284028 benches=2\n"
+    "i=99 best=2 trim=644708866.5645293 huber=259201529.46162155 benches=4\n"
+    "i=124 best=2 trim=655723931.64072978 huber=259809031.83837566 benches=4\n"
+    "i=149 best=2 trim=648311424.66823077 huber=259353134.61455327 benches=4\n"
+    "i=174 best=2 trim=593744698.99592566 huber=259200105.49215961 benches=4\n"
+    "i=199 best=2 trim=567992130.73608053 huber=260915562.31730825 benches=4\n"
+    "i=224 best=1 trim=489220994.7498526 huber=258341769.71191716 benches=16\n"
+    "i=249 best=6 trim=399565663.48481351 huber=228432993.40764147 benches=20\n"
+    "i=274 best=6 trim=313005725.4168418 huber=217261625.502644 benches=21\n"
+    "i=299 best=6 trim=384624906.03963679 huber=291533034.14344859 benches=26\n"
+    "i=324 best=1 trim=498694606.60572368 huber=369541513.13621628 benches=26\n"
+    "i=349 best=1 trim=602817798.84558141 huber=276231979.58613676 benches=27\n"
+    "i=374 best=1 trim=545314954.43281305 huber=263602680.31283927 benches=31\n"
+    "i=399 best=1 trim=531033750.8228097 huber=262100289.97902825 benches=31\n"
+    "i=424 best=1 trim=629287008.94722402 huber=260088286.24613285 benches=31\n"
+    "i=449 best=1 trim=620924730.19957769 huber=258181172.42349243 benches=31\n"
+    "i=474 best=1 trim=568552636.66980696 huber=259094474.65208554 benches=32\n"
+    "i=499 best=7 trim=583135387.31906831 huber=260174686.45288765 benches=35\n"
+    "i=524 best=7 trim=510917865.22153527 huber=262573287.04092932 benches=35\n"
+    "i=549 best=7 trim=548335491.2792964 huber=261975086.86658478 benches=35\n"
+    "i=574 best=7 trim=602901269.17627978 huber=262211962.03813618 benches=35\n"
+    "i=599 best=7 trim=650501491.54954112 huber=262982239.96145418 benches=35\n"
+    "history=256 first=344 last=599 rej=31 corr=120\n"
+    "arm 0 mse=5.2948542414921325e+17 scored=568\n"
+    "arm 1 mse=1.6401956222605917e+17 scored=568\n"
+    "arm 2 mse=83301788839377824 scored=568\n"
+    "arm 3 mse=83558483311187904 scored=568\n"
+    "arm 4 mse=88156895986785616 scored=568\n"
+    "arm 5 mse=83301788839377824 scored=568\n"
+    "arm 6 mse=1.7695889041561968e+17 scored=568\n"
+    "arm 7 mse=93359062982070448 scored=568\n");
+}
+
 //===----------------------------------------------------------------------===//
 // GridSpec validation of telemetry windows
 //===----------------------------------------------------------------------===//
@@ -648,6 +681,11 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
   const Job Jobs[] = {{"tele-a", "lz04", 50.0},  {"tele-b", "alpha1", 90.0},
                       {"tele-a", "hit3", 130.0}, {"tele-b", "lz01", 170.0},
                       {"tele-a", "lz03", 210.0}, {"tele-b", "hit2", 260.0}};
+  struct FetchedPath {
+    NodeId Server, Client;
+    Bytes FileBytes;
+  };
+  std::vector<FetchedPath> Fetched;
   std::string Journal;
   for (const Job &J : Jobs) {
     G->sim().scheduleAt(J.At, [&, J] {
@@ -657,6 +695,10 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
       FO.Register = false;
       Mgr.fetch(J.Lfn, *G->findHost(J.Client), FO,
                 [&, J](const FetchResult &R) {
+                  if (R.FinalSource)
+                    Fetched.push_back({R.FinalSource->node(),
+                                       G->findHost(J.Client)->node(),
+                                       R.FileBytes});
                   char Line[192];
                   std::snprintf(Line, sizeof(Line),
                                 "%s->%s ok=%d src=%s d=%.17g end=%.17g\n",
@@ -683,7 +725,25 @@ std::string runRobustGrid(uint64_t Seed, bool Caches) {
                 static_cast<unsigned long long>(
                     G->faults()->counters().telemetryFaults()),
                 G->sim().now());
-  return Journal + Tail;
+  Journal += Tail;
+  // The robust arms' state on every fetched path: the arm the selector
+  // forwards and what the trimmed-mean and Huber arms predict for the
+  // fetched file, so the journal pins the robust battery's output too.
+  for (const FetchedPath &P : Fetched) {
+    const TransferForecaster *Fc = Log.forecaster(P.Server, P.Client);
+    char Line[192];
+    if (!Fc)
+      std::snprintf(Line, sizeof(Line), "path %u->%u unlogged\n", P.Server,
+                    P.Client);
+    else
+      std::snprintf(Line, sizeof(Line),
+                    "path %u->%u best=%zu trim=%.17g huber=%.17g\n",
+                    P.Server, P.Client, Fc->bestArm(),
+                    Fc->armPredict(6, P.FileBytes, 4, NAN),
+                    Fc->armPredict(7, P.FileBytes, 4, NAN));
+    Journal += Line;
+  }
+  return Journal;
 }
 
 TEST(TelemetryGridTest, CachedEqualsUncachedWithRobustPipelineOn) {
@@ -698,6 +758,26 @@ TEST(TelemetryGridTest, CachedEqualsUncachedWithRobustPipelineOn) {
   // and the poison window touched real appends.
   EXPECT_NE(Cached.find("ok=1"), std::string::npos);
   EXPECT_NE(Cached.find("tele=4"), std::string::npos);
+}
+
+// Captured before the monitoring layer's batches, sensor construction and
+// observation rings were merged: the whole robust pipeline, the telemetry
+// fault routing and each fetched path's robust arms, pinned.
+TEST(TelemetryGridTest, RobustPipelineMatchesPinnedJournal) {
+  EXPECT_EQ(runRobustGrid(4001, /*Caches=*/true),
+    "tele-a->lz04 ok=1 src=alpha4 d=50331648 end=71.465969986716544\n"
+    "tele-b->alpha1 ok=1 src=lz02 d=25165824 end=101.46105999335826\n"
+    "tele-a->hit3 ok=1 src=hit0 d=50331648 end=131.8479757419355\n"
+    "tele-b->lz01 ok=1 src=lz02 d=25165824 end=173.27873787327999\n"
+    "tele-a->lz03 ok=1 src=hit0 d=50331648 end=232.8971122393022\n"
+    "tele-b->hit2 ok=1 src=hit1 d=25165824 end=261.12618787096773\n"
+    "gate=518 drop=0 rej=0 corr=6 app=6 bench=0 tele=4 end=261.12618787096773\n"
+    "path 4->9 best=0 trim=34837212.975803591 huber=34837212.975803591\n"
+    "path 7->1 best=0 trim=13498585.52487237 huber=13498585.52487237\n"
+    "path 11->14 best=0 trim=1122910847.217885 huber=1122910847.217885\n"
+    "path 7->6 best=0 trim=167051562.77753329 huber=167051562.77753329\n"
+    "path 11->8 best=0 trim=29875886.881627303 huber=29875886.881627303\n"
+    "path 12->13 best=0 trim=82660345.517341271 huber=82660345.517341271\n");
 }
 
 TEST(TelemetryGridTest, SameSeedRunsBitIdenticalUnderTelemetryFaults) {
