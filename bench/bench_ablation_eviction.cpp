@@ -75,8 +75,8 @@ exp::TrialResult run(EvictionPolicy Policy, bool Admission, uint64_t Seed) {
     W.MeanInterarrival = 240.0;
     W.ZipfExponent = 1.4;
     W.Files = Popularity;
-    W.App.Streams = 8;
-    Workload Load(T.grid(), Sel, {&T.lz(2), &T.lz(3), &T.lz(4)}, W);
+    W.Streams = 8;
+    Workload Load(T.grid(), Manager, {&T.lz(2), &T.lz(3), &T.lz(4)}, W);
     Load.setJobObserver([&Rep](const JobRecord &R) { Rep.onJob(R); });
     Load.start();
     T.sim().run();

@@ -71,12 +71,13 @@ exp::TrialResult runPolicy(const std::string &Which, uint64_t Seed) {
     Policy = std::make_unique<RandomPolicy>(RandomEngine(12345));
 
   ReplicaSelector Sel(T.grid().catalog(), T.grid().info(), *Policy);
+  ReplicaManager Manager(T.grid().catalog(), Sel, T.grid().transfers());
   WorkloadConfig W;
   W.JobCount = 40;
   W.MeanInterarrival = 45.0;
   W.ZipfExponent = 0.8;
-  W.App.Streams = 8;
-  Workload Load(T.grid(), Sel,
+  W.Streams = 8;
+  Workload Load(T.grid(), Manager,
                 {&T.alpha(1), &T.alpha(2), &T.hit(3), &T.lz(3)}, W);
   T.sim().runUntil(bench::WarmupSeconds);
   Load.start();
@@ -85,7 +86,7 @@ exp::TrialResult runPolicy(const std::string &Which, uint64_t Seed) {
   const ExperimentStats &S = Load.stats();
   std::vector<double> Transfers;
   for (const JobRecord &R : S.Records)
-    if (!R.LocalHit)
+    if (R.Fetch.Succeeded && !R.Fetch.LocalHit)
       Transfers.push_back(R.transferSeconds());
 
   exp::TrialResult Result;

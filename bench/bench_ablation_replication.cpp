@@ -60,10 +60,10 @@ RunResult run(bool Replicate) {
   W.JobCount = 36;
   W.MeanInterarrival = 120.0;
   W.ZipfExponent = 1.2; // hot-a dominates.
-  W.App.Streams = 8;
+  W.Streams = 8;
   // Clients sit behind heterogeneous access links; the Li-Zen ones gain
   // the most once a campus replica appears.
-  Workload Load(T.grid(), Sel,
+  Workload Load(T.grid(), Manager,
                 {&T.lz(2), &T.lz(3), &T.lz(4), &T.alpha(2)}, W);
   if (Replicate)
     Load.setJobObserver([&Rep](const JobRecord &R) { Rep.onJob(R); });
@@ -75,7 +75,7 @@ RunResult run(bool Replicate) {
   const auto &Records = Load.stats().Records;
   RunningStats First, Second, All;
   for (size_t I = 0; I < Records.size(); ++I) {
-    if (Records[I].LocalHit)
+    if (!Records[I].Fetch.Succeeded || Records[I].Fetch.LocalHit)
       continue;
     double S = Records[I].transferSeconds();
     All.add(S);

@@ -25,7 +25,7 @@
 
 #include "exp/Options.h"
 #include "grid/DataGrid.h"
-#include "replica/ReplicaSelector.h"
+#include "replica/ReplicaManager.h"
 
 #include <chrono>
 #include <cstdlib>
@@ -89,6 +89,10 @@ exp::TrialResult runScale(size_t NumSites, const std::string &Which,
   else
     Policy = std::make_unique<RandomPolicy>(RandomEngine(Seed + 1));
   ReplicaSelector Sel(G.catalog(), G.info(), *Policy);
+  ReplicaManager Manager(G.catalog(), Sel, G.transfers());
+  FetchOptions Opts;
+  Opts.Streams = 8;
+  Opts.Register = false;
 
   Host *ClientHost = G.findHost("client");
   G.sim().runUntil(bench::WarmupSeconds);
@@ -96,16 +100,10 @@ exp::TrialResult runScale(size_t NumSites, const std::string &Which,
   double TotalSeconds = 0.0;
   constexpr int Trials = 5;
   for (int Trial = 0; Trial < Trials; ++Trial) {
-    SelectionResult R = Sel.select(ClientHost->node(), "big-file");
-    TransferSpec Spec;
-    Spec.Source = R.Chosen;
-    Spec.Destination = ClientHost;
-    Spec.FileBytes = megabytes(512);
-    Spec.Protocol = TransferProtocol::GridFtpModeE;
-    Spec.Streams = 8;
     double Seconds = 0.0;
-    G.transfers().submit(
-        Spec, [&](const TransferResult &T) { Seconds = T.totalSeconds(); });
+    Manager.fetch("big-file", *ClientHost, Opts, [&](const FetchResult &F) {
+      Seconds = F.EndTime - F.StartTime;
+    });
     G.sim().run();
     TotalSeconds += Seconds;
   }

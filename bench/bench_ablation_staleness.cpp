@@ -24,7 +24,7 @@
 
 #include "exp/Options.h"
 #include "grid/DataGrid.h"
-#include "replica/ReplicaSelector.h"
+#include "replica/ReplicaManager.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
@@ -90,6 +90,10 @@ exp::TrialResult run(SimTime Period, uint64_t Seed) {
 
   CostModelPolicy Policy; // Paper weights; the I/O term breaks the tie.
   ReplicaSelector Sel(G.catalog(), G.info(), Policy);
+  ReplicaManager Manager(G.catalog(), Sel, G.transfers());
+  FetchOptions Opts;
+  Opts.Streams = 8;
+  Opts.Register = false;
 
   // Serial fetches every 240 s; oracle = busy-ness at decision time.
   size_t Wrong = 0;
@@ -97,21 +101,16 @@ exp::TrialResult run(SimTime Period, uint64_t Seed) {
   constexpr int Fetches = 30;
   for (int I = 0; I < Fetches; ++I) {
     G.sim().runUntil(120.0 + 240.0 * I);
-    SelectionResult R = Sel.select(ClientHost->node(), "mirrored");
     Host *Oracle =
         MirrorA->disk().busyFraction() <= MirrorB->disk().busyFraction()
             ? MirrorA
             : MirrorB;
-    if (R.Chosen != Oracle)
-      ++Wrong;
-    TransferSpec Spec;
-    Spec.Source = R.Chosen;
-    Spec.Destination = ClientHost;
-    Spec.FileBytes = megabytes(512);
-    Spec.Streams = 8;
     double Seconds = 0.0;
-    G.transfers().submit(
-        Spec, [&](const TransferResult &T) { Seconds = T.totalSeconds(); });
+    Manager.fetch("mirrored", *ClientHost, Opts, [&](const FetchResult &F) {
+      if (F.FinalSource != Oracle)
+        ++Wrong;
+      Seconds = F.EndTime - F.StartTime;
+    });
     G.sim().run();
     Times.add(Seconds);
   }

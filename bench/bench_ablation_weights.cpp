@@ -52,11 +52,12 @@ double runWorkloadMeanTransfer(CostWeights W, uint64_t Seed) {
 
   CostModelPolicy Policy(W);
   ReplicaSelector Sel(Cat, T.grid().info(), Policy);
+  ReplicaManager Manager(Cat, Sel, T.grid().transfers());
   WorkloadConfig Cfg;
   Cfg.JobCount = 30;
   Cfg.MeanInterarrival = 45.0;
-  Cfg.App.Streams = 8;
-  Workload Load(T.grid(), Sel, {&T.alpha(1), &T.hit(3), &T.lz(4)}, Cfg);
+  Cfg.Streams = 8;
+  Workload Load(T.grid(), Manager, {&T.alpha(1), &T.hit(3), &T.lz(4)}, Cfg);
   T.sim().runUntil(bench::WarmupSeconds);
   Load.start();
   T.sim().run();

@@ -59,14 +59,15 @@ ExperimentStats runCampaign(bool UseCostModel) {
       UseCostModel ? static_cast<SelectionPolicy &>(Cost)
                    : static_cast<SelectionPolicy &>(Rand);
   ReplicaSelector Selector(Cat, T.grid().info(), Policy);
+  ReplicaManager Manager(Cat, Selector, T.grid().transfers());
 
   WorkloadConfig W;
   W.JobCount = 30;
   W.MeanInterarrival = 60.0;
   W.ZipfExponent = 1.0;       // nr-protein dominates, as in real BLAST load.
-  W.App.Streams = 8;
-  W.App.ComputeSecondsPerGB = 40.0; // BLAST is CPU-hungry.
-  Workload Load(T.grid(), Selector,
+  W.Streams = 8;
+  W.ComputeSecondsPerGB = 40.0; // BLAST is CPU-hungry.
+  Workload Load(T.grid(), Manager,
                 {&T.alpha(1), &T.alpha(2), &T.hit(3), &T.lz(4)}, W);
   T.sim().runUntil(30.0);
   Load.start();
@@ -104,7 +105,7 @@ int main() {
        {"nr-protein", "est-human", "swissprot", "pdb-structures"}) {
     RunningStats S;
     for (const JobRecord &R : Cost.Records)
-      if (R.Lfn == Name && !R.LocalHit)
+      if (R.Fetch.Lfn == Name && R.Fetch.Succeeded && !R.Fetch.LocalHit)
         S.add(R.transferSeconds());
     D.beginRow();
     D.add(std::string(Name));

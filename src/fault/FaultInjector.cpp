@@ -8,15 +8,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdarg>
-#include <cstdio>
 
 using namespace dgsim;
 
 FaultInjector::FaultInjector(Simulator &Sim, const Topology &Topo,
                              FlowNetwork &Net, TransferManager &Transfers,
                              InformationService &Info,
-                             std::vector<Host *> Hosts, TraceLog *Trace,
+                             std::vector<Host *> Hosts, TraceLog &Trace,
                              std::function<TransferLog *()> LogAccessor)
     : Sim(Sim), Topo(Topo), Net(Net), Transfers(Transfers), Info(Info),
       Trace(Trace), LogAccessor(std::move(LogAccessor)) {
@@ -24,17 +22,6 @@ FaultInjector::FaultInjector(Simulator &Sim, const Topology &Topo,
     assert(H && "null host in the injector's host list");
     HostByName.emplace(H->name(), H);
   }
-}
-
-void FaultInjector::trace(const char *Fmt, ...) const {
-  if (!Trace || !Trace->enabled(TraceCategory::Fault))
-    return;
-  char Buf[256];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Trace->record(Sim.now(), TraceCategory::Fault, Buf);
 }
 
 NodeId FaultInjector::resolveEndpoint(const std::string &Name) const {
@@ -145,7 +132,8 @@ void FaultInjector::arm(const FaultPlan &Plan) {
     Sim.scheduleDaemonAt(W.Start + W.Duration,
                          [this, I] { apply(I, /*Begin=*/false); });
   }
-  trace("armed: %zu window(s)", Expanded.size());
+  Trace.recordf(Sim.now(), TraceCategory::Fault, "armed: %zu window(s)",
+                Expanded.size());
 }
 
 void FaultInjector::apply(size_t I, bool Begin) {
@@ -158,13 +146,14 @@ void FaultInjector::apply(size_t I, bool Begin) {
       if (++Depth == 1) {
         Net.setLinkEnabled(L, false);
         ++Counters.LinkDowns;
-        trace("link %s <-> %s DOWN", W.Target.c_str(), W.Target2.c_str());
+        Trace.recordf(Sim.now(), TraceCategory::Fault, "link %s <-> %s DOWN",
+                      W.Target.c_str(), W.Target2.c_str());
       }
     } else if (--Depth == 0) {
       Net.setLinkEnabled(L, true);
       ++Counters.LinkRepairs;
-      trace("link %s <-> %s repaired", W.Target.c_str(),
-            W.Target2.c_str());
+      Trace.recordf(Sim.now(), TraceCategory::Fault, "link %s <-> %s repaired",
+                    W.Target.c_str(), W.Target2.c_str());
     }
     break;
   }
@@ -175,7 +164,8 @@ void FaultInjector::apply(size_t I, bool Begin) {
       if (++Depth == 1) {
         H->setUp(false);
         ++Counters.HostCrashes;
-        trace("host %s CRASHED", W.Target.c_str());
+        Trace.recordf(Sim.now(), TraceCategory::Fault, "host %s CRASHED",
+                      W.Target.c_str());
         // In-flight consequences: destination transfers die, source
         // stripes fall into reconnect-with-backoff.
         Transfers.failHost(*H, /*MachineDown=*/true);
@@ -183,7 +173,8 @@ void FaultInjector::apply(size_t I, bool Begin) {
     } else if (--Depth == 0) {
       H->setUp(true);
       ++Counters.HostReboots;
-      trace("host %s rebooted", W.Target.c_str());
+      Trace.recordf(Sim.now(), TraceCategory::Fault, "host %s rebooted",
+                    W.Target.c_str());
     }
     break;
   }
@@ -194,14 +185,16 @@ void FaultInjector::apply(size_t I, bool Begin) {
       if (++Depth == 1) {
         H->setStorageUp(false);
         ++Counters.StorageOutages;
-        trace("storage on %s OFFLINE", W.Target.c_str());
+        Trace.recordf(Sim.now(), TraceCategory::Fault, "storage on %s OFFLINE",
+                      W.Target.c_str());
         // The machine still answers, so only reads it was serving break.
         Transfers.failHost(*H, /*MachineDown=*/false);
       }
     } else if (--Depth == 0) {
       H->setStorageUp(true);
       ++Counters.StorageRepairs;
-      trace("storage on %s back online", W.Target.c_str());
+      Trace.recordf(Sim.now(), TraceCategory::Fault,
+                    "storage on %s back online", W.Target.c_str());
     }
     break;
   }
@@ -210,12 +203,14 @@ void FaultInjector::apply(size_t I, bool Begin) {
       if (++BlackoutDepth == 1) {
         Info.setBlackout(true);
         ++Counters.Blackouts;
-        trace("monitoring blackout begins");
+        Trace.recordf(Sim.now(), TraceCategory::Fault,
+                      "monitoring blackout begins");
       }
     } else if (--BlackoutDepth == 0) {
       Info.setBlackout(false);
       ++Counters.BlackoutEnds;
-      trace("monitoring blackout ends");
+      Trace.recordf(Sim.now(), TraceCategory::Fault,
+                    "monitoring blackout ends");
     }
     break;
   case FaultKind::SensorBias:
@@ -272,9 +267,10 @@ void FaultInjector::applyTelemetry(size_t I, bool Begin) {
   default:
     assert(false && "not a sensor-level telemetry kind");
   }
-  trace("%s %s on %s [%s%s%s]", faultKindName(W.Kind),
-        Begin ? "begins" : "ends", ScopeName, W.Target.c_str(),
-        W.Target2.empty() ? "" : " -> ", W.Target2.c_str());
+  Trace.recordf(Sim.now(), TraceCategory::Fault, "%s %s on %s [%s%s%s]",
+                faultKindName(W.Kind), Begin ? "begins" : "ends", ScopeName,
+                W.Target.c_str(), W.Target2.empty() ? "" : " -> ",
+                W.Target2.c_str());
 }
 
 void FaultInjector::applyLogCorrupt(size_t I, bool Begin) {
@@ -283,7 +279,8 @@ void FaultInjector::applyLogCorrupt(size_t I, bool Begin) {
   TransferLog *Log = LogAccessor ? LogAccessor() : nullptr;
   if (Begin) {
     if (!Log) {
-      trace("log corruption window with no transfer log attached");
+      Trace.recordf(Sim.now(), TraceCategory::Fault,
+                    "log corruption window with no transfer log attached");
       return;
     }
     CorruptApplied[I] = 1;
@@ -293,8 +290,9 @@ void FaultInjector::applyLogCorrupt(size_t I, bool Begin) {
       Log->beginCorruptPath(resolveHost(W.Target)->node(),
                             resolveHost(W.Target2)->node(), WindowSeeds[I],
                             W.Magnitude);
-    trace("transfer log corruption begins [%s%s%s]", W.Target.c_str(),
-          W.Target.empty() ? "" : " -> ", W.Target2.c_str());
+    Trace.recordf(Sim.now(), TraceCategory::Fault,
+                  "transfer log corruption begins [%s%s%s]", W.Target.c_str(),
+                  W.Target.empty() ? "" : " -> ", W.Target2.c_str());
     return;
   }
   // The end edge only unwinds a scope the begin edge actually entered —
@@ -306,6 +304,7 @@ void FaultInjector::applyLogCorrupt(size_t I, bool Begin) {
   else
     Log->endCorruptPath(resolveHost(W.Target)->node(),
                         resolveHost(W.Target2)->node());
-  trace("transfer log corruption ends [%s%s%s]", W.Target.c_str(),
-        W.Target.empty() ? "" : " -> ", W.Target2.c_str());
+  Trace.recordf(Sim.now(), TraceCategory::Fault,
+                "transfer log corruption ends [%s%s%s]", W.Target.c_str(),
+                W.Target.empty() ? "" : " -> ", W.Target2.c_str());
 }

@@ -88,10 +88,10 @@ public:
   /// \p LogAccessor resolves the grid's TransferLog at window-fire time
   /// (not construction time — owners typically enable the log after
   /// setFaultPlan()); LogCorrupt windows are counted but otherwise no-ops
-  /// while it returns null.
+  /// while it returns null.  Fault-category events go to \p Trace.
   FaultInjector(Simulator &Sim, const Topology &Topo, FlowNetwork &Net,
                 TransferManager &Transfers, InformationService &Info,
-                std::vector<Host *> Hosts, TraceLog *Trace = nullptr,
+                std::vector<Host *> Hosts, TraceLog &Trace,
                 std::function<TransferLog *()> LogAccessor = {});
 
   FaultInjector(const FaultInjector &) = delete;
@@ -118,7 +118,6 @@ private:
   LinkId resolveLink(const std::string &A, const std::string &B) const;
   Host *resolveHost(const std::string &Name) const;
   NodeId resolveEndpoint(const std::string &Name) const;
-  void trace(const char *Fmt, ...) const;
 
   Simulator &Sim;
   const Topology &Topo;
@@ -126,7 +125,7 @@ private:
   TransferManager &Transfers;
   InformationService &Info;
   std::unordered_map<std::string, Host *> HostByName;
-  TraceLog *Trace = nullptr;
+  TraceLog &Trace;
   std::function<TransferLog *()> LogAccessor;
   bool Armed = false;
   std::vector<FaultWindow> Expanded;

@@ -264,17 +264,17 @@ void DataGrid::setFaultPlan(const FaultPlan &Plan) {
   // is typically called after setFaultPlan(), and LogCorrupt windows must
   // still find the log.
   Injector = std::make_unique<FaultInjector>(
-      Sim, Topo, *Net, *Transfers, *InfoService, allHosts(), &Trace,
+      Sim, Topo, *Net, *Transfers, *InfoService, allHosts(), Trace,
       [this]() -> TransferLog * { return Log.get(); });
   Injector->arm(Plan);
   Spec.Faults = Plan;
 }
 
-TransferLog &DataGrid::enableTransferLog(size_t HistoryCapacity) {
+TransferLog &DataGrid::enableTransferLog() {
   assert(finalized() && "enableTransferLog() before finalize()");
   if (Log)
     return *Log;
-  Log = std::make_unique<TransferLog>(HistoryCapacity);
+  Log = std::make_unique<TransferLog>();
   InfoService->setTransferLog(Log.get());
   // Every single-source completion that moved data becomes a path
   // observation.  Striped transfers are skipped (no single path to

@@ -177,9 +177,10 @@ public:
   /// then flow through each path's probe-vs-log minimum-MSE
   /// meta-selector.  Runtime configuration like setRetryPolicy — not part
   /// of spec(); a grid without this call is bit-identical to one built
-  /// before the log existed.  Must be called after finalize(); idempotent.
+  /// before the log existed.  Each path keeps TransferLog's default
+  /// 256-observation history.  Must be called after finalize(); idempotent.
   /// \returns the log (also reachable via transferLog()).
-  TransferLog &enableTransferLog(size_t HistoryCapacity = 256);
+  TransferLog &enableTransferLog();
 
   /// \returns the attached log, or nullptr when feedback is off.
   TransferLog *transferLog() { return Log.get(); }

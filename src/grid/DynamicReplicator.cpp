@@ -32,20 +32,22 @@ Host &DynamicReplicator::storageHostFor(Site &S) {
 }
 
 void DynamicReplicator::onJob(const JobRecord &Record) {
+  const FetchResult &F = Record.Fetch;
+  if (!F.Succeeded)
+    return; // Nothing was read anywhere.
+  const std::string &Lfn = F.Lfn;
   // Keep the source store's recency/frequency state fresh.
-  if (Storage && Record.Source)
-    Storage->recordAccess(Record.Lfn, *Record.Source,
-                          Grid.sim().now());
-  if (Record.LocalHit)
+  if (Storage)
+    Storage->recordAccess(Lfn, *F.FinalSource, Grid.sim().now());
+  if (F.LocalHit)
     return; // Local data: no pressure to replicate.
   Site *ClientSite = Grid.siteOf(*Record.Client);
   if (!ClientSite)
     return;
-  Site *SourceSite = Record.Source ? Grid.siteOf(*Record.Source) : nullptr;
-  if (SourceSite == ClientSite)
+  if (Grid.siteOf(*F.FinalSource) == ClientSite)
     return; // Fetched over the campus LAN already.
 
-  auto Key = std::make_pair(ClientSite->name(), Record.Lfn);
+  auto Key = std::make_pair(ClientSite->name(), Lfn);
   SimTime Now = Grid.sim().now();
   auto &Times = Accesses[Key];
   Times.push_back(Now);
@@ -55,12 +57,11 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
     return;
   if (InFlight.count(Key))
     return;
-  if (Grid.catalog().locate(Record.Lfn).size() >=
-      Config.MaxReplicasPerFile)
+  if (Grid.catalog().locate(Lfn).size() >= Config.MaxReplicasPerFile)
     return;
 
   Host &Target = storageHostFor(*ClientSite);
-  if (Grid.catalog().replicaAt(Record.Lfn, Target.node()))
+  if (Grid.catalog().replicaAt(Lfn, Target.node()))
     return; // The site already holds a copy.
 
   // Under constrained storage, make room first; a reservation (pinned
@@ -69,40 +70,44 @@ void DynamicReplicator::onJob(const JobRecord &Record) {
   if (Storage) {
     StorageElement *SE = Storage->storeOf(Target);
     assert(SE && "replication target has no attached store");
-    Bytes Size = Grid.catalog().fileSize(Record.Lfn);
+    Bytes Size = Grid.catalog().fileSize(Lfn);
     uint64_t Hotness =
         Config.HotnessAdmission ? Times.size() : ~0ULL;
     if (!Storage->ensureSpace(Target, Size, Now, Hotness)) {
       if (Trace)
-        Trace->record(Now, TraceCategory::Replication,
-                      Record.Lfn + ": no space at " + Target.name() +
-                          ", replication skipped");
+        Trace->recordf(Now, TraceCategory::Replication,
+                       "%s: no space at %s, replication skipped",
+                       Lfn.c_str(), Target.name().c_str());
       return;
     }
-    SE->add(Record.Lfn, Size, Now);
-    SE->setPinned(Record.Lfn, true);
+    SE->add(Lfn, Size, Now);
+    SE->setPinned(Lfn, true);
     Reserved = true;
   }
 
   InFlight.insert(Key);
   ++Started;
   if (Trace)
-    Trace->record(Now, TraceCategory::Replication,
-                  Record.Lfn + ": " + std::to_string(Times.size()) +
-                      " remote fetches by site " + ClientSite->name() +
-                      ", replicating to " + Target.name());
-  Manager.replicate(Record.Lfn, Target, Config.Streams,
-                    [this, Key, Reserved](const std::string &Lfn,
-                                          Host &Where,
-                                          const TransferResult &) {
-                      InFlight.erase(Key);
-                      ++Completed;
-                      if (Reserved)
-                        Storage->storeOf(Where)->setPinned(Lfn, false);
-                      if (Trace)
-                        Trace->record(Grid.sim().now(),
-                                      TraceCategory::Replication,
-                                      Lfn + ": replica live at " +
-                                          Where.name());
-                    });
+    Trace->recordf(Now, TraceCategory::Replication,
+                   "%s: %zu remote fetches by site %s, replicating to %s",
+                   Lfn.c_str(), Times.size(), ClientSite->name().c_str(),
+                   Target.name().c_str());
+  FetchOptions Opts;
+  Opts.Streams = Config.Streams;
+  Manager.fetch(
+      Lfn, Target, Opts, [this, Key, Reserved, &Target](const FetchResult &R) {
+        InFlight.erase(Key);
+        Completed += R.Succeeded;
+        // The placeholder becomes the replica; a failed fetch registered
+        // nothing, so its placeholder gives the space back.
+        if (Reserved && R.Succeeded)
+          Storage->storeOf(Target)->setPinned(R.Lfn, false);
+        else if (Reserved)
+          Storage->storeOf(Target)->remove(R.Lfn);
+        if (Trace)
+          Trace->recordf(Grid.sim().now(), TraceCategory::Replication,
+                         R.Succeeded ? "%s: replica live at %s"
+                                     : "%s: replication to %s failed",
+                         R.Lfn.c_str(), Target.name().c_str());
+      });
 }

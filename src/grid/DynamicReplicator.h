@@ -14,14 +14,17 @@
 /// fetches within Window seconds — it replicates the file onto that
 /// site's designated storage host (by default the site's first host), so
 /// subsequent fetches stay on the campus LAN.  This is the classic
-/// threshold strategy of the OptorSim-era Data Grid literature.
+/// threshold strategy of the OptorSim-era Data Grid literature.  Each
+/// replication is a registering ReplicaManager::fetch, so it fails over
+/// like any fetch; one that still fails registers nothing and gives its
+/// reserved space back.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DGSIM_GRID_DYNAMICREPLICATOR_H
 #define DGSIM_GRID_DYNAMICREPLICATOR_H
 
-#include "grid/Application.h"
+#include "grid/Experiment.h"
 #include "replica/ReplicaManager.h"
 #include "replica/StorageElement.h"
 
@@ -58,13 +61,14 @@ public:
   /// (default: the site's first host).
   void setStorageHost(const std::string &SiteName, Host &Storage);
 
-  /// Feed one completed job.  Hook this into Workload::setJobObserver().
+  /// Feed one finished job (jobs whose fetch failed are ignored).  Hook
+  /// this into Workload::setJobObserver().
   void onJob(const JobRecord &Record);
 
   /// \returns how many replication transfers this replicator started.
   uint64_t replicationsStarted() const { return Started; }
 
-  /// \returns how many completed and were registered.
+  /// \returns how many succeeded and were registered.
   uint64_t replicationsCompleted() const { return Completed; }
 
   /// Attaches a trace log (TraceCategory::Replication events).

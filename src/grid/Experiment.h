@@ -6,30 +6,52 @@
 ///
 /// \file
 /// The experiment harness: a Poisson/Zipf workload generator over a grid's
-/// file catalogue, aggregate statistics, and a runner that executes the
-/// same workload under a given selection policy — the machinery behind the
-/// policy-comparison, weight-sensitivity and scalability ablations.
+/// file catalogue and aggregate statistics — the machinery behind the
+/// policy-comparison, weight-sensitivity and replication ablations.
+///
+/// Each job is the client loop of the paper's Fig 1: the application needs
+/// a logical file, uses a local replica or fetches the one the selection
+/// server picks with GridFTP — one non-registering ReplicaManager::fetch —
+/// then computes over the data.  A job whose fetch failed computes nothing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DGSIM_GRID_EXPERIMENT_H
 #define DGSIM_GRID_EXPERIMENT_H
 
-#include "grid/Application.h"
+#include "grid/DataGrid.h"
+#include "replica/ReplicaManager.h"
 #include "support/Statistics.h"
 
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace dgsim {
 
+/// One finished job.
+struct JobRecord {
+  Host *Client = nullptr;
+  /// The job's fetch: file, final source, local hit, start (the job's
+  /// submit time) and outcome.
+  FetchResult Fetch;
+  /// Zero when the fetch failed: no compute phase runs then.
+  SimTime ComputeSeconds = 0.0;
+  SimTime FinishTime = 0.0;
+
+  SimTime totalSeconds() const { return FinishTime - Fetch.StartTime; }
+  /// Zero when the replica was local.
+  SimTime transferSeconds() const { return Fetch.EndTime - Fetch.StartTime; }
+};
+
 /// Aggregated results of a batch of jobs.
 struct ExperimentStats {
   std::vector<JobRecord> Records;
-  RunningStats TransferSeconds; // Remote fetches only.
-  RunningStats TotalSeconds;    // All jobs, submit to finish.
+  RunningStats TransferSeconds; // Successful remote fetches only.
+  RunningStats TotalSeconds;    // Jobs whose fetch succeeded.
   size_t LocalHits = 0;
+  /// Jobs whose fetch failed; they are in Records only.
+  size_t FailedJobs = 0;
 
   size_t jobCount() const { return Records.size(); }
   double localHitRate() const {
@@ -53,7 +75,10 @@ struct WorkloadConfig {
   /// "all catalogue files, name order" — use an explicit list to model
   /// popularity shifts (e.g. a new data release taking over).
   std::vector<std::string> Files;
-  ApplicationConfig App;
+  /// GridFTP (MODE E) parallel streams per job fetch.
+  unsigned Streams = 8;
+  /// Reference-machine compute seconds per gigabyte of input.
+  double ComputeSecondsPerGB = 2.0;
 };
 
 /// Generates jobs against a grid from a set of client hosts.
@@ -61,14 +86,15 @@ class Workload {
 public:
   /// Clients must be non-empty; jobs pick a client uniformly and a file by
   /// Zipf rank over the catalogue (registration-name order).
-  Workload(DataGrid &Grid, ReplicaSelector &Selector,
+  Workload(DataGrid &Grid, ReplicaManager &Manager,
            std::vector<Host *> Clients, WorkloadConfig Config);
 
   /// Submits the arrival process; run the simulator afterwards.
   void start();
 
-  /// Registers a callback fired after every completed job (e.g. a
-  /// DynamicReplicator's onJob).  Must be set before start().
+  /// Registers a callback fired after every finished job, failed ones
+  /// included (e.g. a DynamicReplicator's onJob).  Must be set before
+  /// start().
   void setJobObserver(std::function<void(const JobRecord &)> Observer);
 
   /// \returns aggregated results (valid once the simulator drained).
@@ -79,9 +105,12 @@ public:
 
 private:
   void scheduleNextArrival();
+  /// Runs one Fig 1 job: fetch \p Lfn to \p Client, then compute.
+  void startJob(Host &Client, const std::string &Lfn);
+  void finishJob(const JobRecord &R);
 
   DataGrid &Grid;
-  Application App;
+  ReplicaManager &Manager;
   std::vector<Host *> Clients;
   WorkloadConfig Config;
   RandomEngine Rng;

@@ -10,9 +10,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 
 using namespace dgsim;
 
@@ -42,17 +41,6 @@ const char *dgsim::shedPolicyName(ShedPolicy P) {
   }
   assert(false && "unknown shed policy");
   return "?";
-}
-
-void TransferManager::trace(const char *Fmt, ...) const {
-  if (!Trace || !Trace->enabled(TraceCategory::Transfer))
-    return;
-  char Buf[256];
-  va_list Args;
-  va_start(Args, Fmt);
-  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
-  va_end(Args);
-  Trace->record(Sim.now(), TraceCategory::Transfer, Buf);
 }
 
 TransferManager::TransferManager(Simulator &Sim, FlowNetwork &Net,
@@ -126,9 +114,10 @@ void TransferManager::releaseTransfer(TransferId Id) {
         assert(N && N->Queued && "pending list out of sync");
         N->Queued = false;
         N->Result.QueueSeconds = Sim.now() - N->Result.StartTime;
-        trace("#%llu dequeued after %.3f s queue wait",
-              static_cast<unsigned long long>(Next),
-              N->Result.QueueSeconds);
+        if (Trace)
+          Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                         "#%" PRIu64 " dequeued after %.3f s queue wait",
+                         Next, N->Result.QueueSeconds);
         startTransfer(Next);
       }
     }
@@ -225,11 +214,15 @@ TransferId TransferManager::submit(const TransferSpec &Spec,
   }
   T.Result.StartupSeconds = Startup;
 
-  trace("#%llu submit %s %s -> %s, %.0f MB, %u stream(s), startup %.3f s",
-        static_cast<unsigned long long>(Id),
-        transferProtocolName(Spec.Protocol), PrimarySource->name().c_str(),
-        Spec.Destination->name().c_str(),
-        T.Result.FileBytes / (1024.0 * 1024.0), Spec.Streams, Startup);
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " submit %s %s -> %s, %.0f MB, %u stream(s), "
+                   "startup %.3f s",
+                   Id, transferProtocolName(Spec.Protocol),
+                   PrimarySource->name().c_str(),
+                   Spec.Destination->name().c_str(),
+                   T.Result.FileBytes / (1024.0 * 1024.0), Spec.Streams,
+                   Startup);
   IdToSlot.emplace(Id, Slot);
   ActiveList.emplace_back(Id, Slot); // Ids are monotonic: stays sorted.
   // The deadline is armed for the transfer's whole life — queue wait
@@ -270,10 +263,11 @@ void TransferManager::enqueueTransfer(TransferId Id, DestState &D) {
   ++QueuedNow;
   ++TotalQueued;
   D.Pending.push_back(Id);
-  trace("#%llu queued at %s (%u active, %zu pending)",
-        static_cast<unsigned long long>(Id),
-        Found->Spec.Destination->name().c_str(), D.Active,
-        D.Pending.size());
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " queued at %s (%u active, %zu pending)", Id,
+                   Found->Spec.Destination->name().c_str(), D.Active,
+                   D.Pending.size());
   if (D.Pending.size() <= Admission.QueueDepth)
     return;
   // Full: pick the victim deterministically.  The newcomer sits at the
@@ -316,9 +310,10 @@ void TransferManager::shedTransfer(TransferId Id, const char *Reason) {
   CompletionFn Done = std::move(Found->OnComplete);
   releaseTransfer(Id);
   ++TotalShed;
-  trace("#%llu SHED (%s) after %.3f s queued",
-        static_cast<unsigned long long>(Result.Id), Reason,
-        Result.QueueSeconds);
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " SHED (%s) after %.3f s queued", Result.Id,
+                   Reason, Result.QueueSeconds);
   // Defer the callback: a Reject-policy shed happens inside submit(),
   // before the caller even has the transfer id in hand.  The (callback,
   // result) pair parks in a FIFO so the zero-delay event captures only
@@ -392,6 +387,39 @@ SimTime TransferManager::backoffSeconds(unsigned ConsecutiveFailures) const {
   return std::min(Exp, Policy.BackoffMax);
 }
 
+SimTime TransferManager::scheduleReconnect(TransferId Id, size_t StripeIdx,
+                                           Bytes Volume) {
+  ActiveTransfer &T = *findTransfer(Id);
+  Stripe &S = T.StripesLive[StripeIdx];
+  // A fresh data connection plus one control round trip to re-issue RETR
+  // (with a REST marker when resumable), plus the backoff this losing
+  // streak has earned.
+  const NetPath *Path =
+      Net.routing().pathRef(S.Source->node(), T.Spec.Destination->node());
+  assert(Path && "transfer endpoints became disconnected");
+  SimTime Delay = Net.tcp().connectTime(*Path) + Path->Rtt +
+                  backoffSeconds(S.ConsecutiveFailures);
+  S.RetryEvent = Sim.schedule(Delay, [this, Id, StripeIdx, Volume] {
+    // The transfer may have been torn down meanwhile.
+    if (ActiveTransfer *A = findTransfer(Id)) {
+      A->StripesLive[StripeIdx].RetryEvent = InvalidEventId;
+      startStripeFlow(Id, StripeIdx, Volume);
+    }
+  });
+  return Delay;
+}
+
+void TransferManager::closeStripe(ActiveTransfer &T, Stripe &S,
+                                  bool CancelFlow) {
+  if (CancelFlow)
+    Net.cancelFlow(S.Flow);
+  S.Flow = InvalidFlowId;
+  S.Source->disk().removeTransferLoad(S.AccountedRate);
+  T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
+  S.AccountedRate = 0.0;
+  noteStripeDown(*S.Source, *T.Spec.Destination);
+}
+
 void TransferManager::startStripeFlow(TransferId Id, size_t StripeIdx,
                                       Bytes Volume) {
   ActiveTransfer *Found = findTransfer(Id);
@@ -407,20 +435,12 @@ void TransferManager::startStripeFlow(TransferId Id, size_t StripeIdx,
       failTransfer(Id, "endpoint unreachable");
       return;
     }
-    const NetPath *Path =
-        Net.routing().pathRef(S.Source->node(), T.Spec.Destination->node());
-    assert(Path && "transfer endpoints became disconnected");
-    SimTime Delay = Net.tcp().connectTime(*Path) + Path->Rtt +
-                    backoffSeconds(S.ConsecutiveFailures);
-    trace("#%llu stripe %zu connect refused (attempt %u); retry in %.3f s",
-          static_cast<unsigned long long>(Id), StripeIdx,
-          S.ConsecutiveFailures, Delay);
-    S.RetryEvent = Sim.schedule(Delay, [this, Id, StripeIdx, Volume] {
-      if (ActiveTransfer *A = findTransfer(Id)) {
-        A->StripesLive[StripeIdx].RetryEvent = InvalidEventId;
-        startStripeFlow(Id, StripeIdx, Volume);
-      }
-    });
+    SimTime Delay = scheduleReconnect(Id, StripeIdx, Volume);
+    if (Trace)
+      Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                     "#%" PRIu64 " stripe %zu connect refused (attempt %u); "
+                     "retry in %.3f s",
+                     Id, StripeIdx, S.ConsecutiveFailures, Delay);
     return;
   }
   S.AttemptWire = Volume;
@@ -443,12 +463,7 @@ void TransferManager::onStripeDone(TransferId Id, size_t StripeIdx) {
   ActiveTransfer &T = *Found;
   Stripe &S = T.StripesLive[StripeIdx];
 
-  // Undo this stripe's disk accounting.
-  S.Source->disk().removeTransferLoad(S.AccountedRate);
-  T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-  S.AccountedRate = 0.0;
-  S.Flow = InvalidFlowId;
-  noteStripeDown(*S.Source, *T.Spec.Destination);
+  closeStripe(T, S, /*CancelFlow=*/false);
   // The attempt's whole volume landed: it counts toward the file exactly
   // once, whatever protocol we ran.
   S.DeliveredWire += S.AttemptWire;
@@ -470,9 +485,12 @@ void TransferManager::onStripeDone(TransferId Id, size_t StripeIdx) {
   CompletionFn Done = std::move(T.OnComplete);
   releaseTransfer(Id);
   ++Completed;
-  trace("#%llu done in %.3f s (%.1f Mb/s mean, %u restart(s))",
-        static_cast<unsigned long long>(Result.Id), Result.totalSeconds(),
-        Result.meanThroughput() / 1e6, Result.Restarts);
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " done in %.3f s (%.1f Mb/s mean, %u "
+                   "restart(s))",
+                   Result.Id, Result.totalSeconds(),
+                   Result.meanThroughput() / 1e6, Result.Restarts);
   if (Done)
     Done(Result);
 }
@@ -482,16 +500,12 @@ bool TransferManager::cancel(TransferId Id) {
   if (!Found)
     return false;
   ActiveTransfer &T = *Found;
-  for (Stripe &S : T.StripesLive) {
-    if (S.Flow == InvalidFlowId)
-      continue;
-    Net.cancelFlow(S.Flow);
-    S.Flow = InvalidFlowId;
-    S.Source->disk().removeTransferLoad(S.AccountedRate);
-    T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-    noteStripeDown(*S.Source, *T.Spec.Destination);
-  }
-  trace("#%llu cancelled", static_cast<unsigned long long>(Id));
+  for (Stripe &S : T.StripesLive)
+    if (S.Flow != InvalidFlowId)
+      closeStripe(T, S, /*CancelFlow=*/true);
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " cancelled", Id);
   releaseTransfer(Id);
   return true;
 }
@@ -507,12 +521,7 @@ void TransferManager::failStripe(TransferId Id, size_t StripeIdx,
     return; // Already finished, or already waiting on a reconnect.
 
   Bytes Remaining = Net.remainingBytes(S.Flow);
-  Net.cancelFlow(S.Flow);
-  S.Flow = InvalidFlowId;
-  S.Source->disk().removeTransferLoad(S.AccountedRate);
-  T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-  S.AccountedRate = 0.0;
-  noteStripeDown(*S.Source, *T.Spec.Destination);
+  closeStripe(T, S, /*CancelFlow=*/true);
   ++T.Result.Restarts;
   ++TotalRestarts;
   if (Timeout) {
@@ -541,34 +550,22 @@ void TransferManager::failStripe(TransferId Id, size_t StripeIdx,
   S.AttemptWire = 0.0;
 
   if (Policy.MaxAttempts && S.ConsecutiveFailures > Policy.MaxAttempts) {
-    trace("#%llu stripe %zu out of attempts (%u)",
-          static_cast<unsigned long long>(Id), StripeIdx,
-          S.ConsecutiveFailures);
+    if (Trace)
+      Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                     "#%" PRIu64 " stripe %zu out of attempts (%u)", Id,
+                     StripeIdx, S.ConsecutiveFailures);
     failTransfer(Id, Timeout ? "stalled" : "connection lost");
     return;
   }
 
   Bytes RetryVolume = Resumable ? Remaining : S.WireBytes;
-  trace("#%llu stripe %zu failed%s; %s %.0f MB",
-        static_cast<unsigned long long>(Id), StripeIdx,
-        Timeout ? " (stall timeout)" : "",
-        Resumable ? "resuming remaining" : "restarting full",
-        RetryVolume / (1024.0 * 1024.0));
-  // Reconnect: a fresh data connection plus one control round trip to
-  // re-issue RETR (with a REST marker when resumable), plus the backoff
-  // this losing streak has earned.
-  const NetPath *Path =
-      Net.routing().pathRef(S.Source->node(), T.Spec.Destination->node());
-  assert(Path && "transfer endpoints became disconnected");
-  SimTime Delay = Net.tcp().connectTime(*Path) + Path->Rtt +
-                  backoffSeconds(S.ConsecutiveFailures);
-  S.RetryEvent = Sim.schedule(Delay, [this, Id, StripeIdx, RetryVolume] {
-    // The transfer may have been torn down meanwhile.
-    if (ActiveTransfer *A = findTransfer(Id)) {
-      A->StripesLive[StripeIdx].RetryEvent = InvalidEventId;
-      startStripeFlow(Id, StripeIdx, RetryVolume);
-    }
-  });
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " stripe %zu failed%s; %s %.0f MB", Id,
+                   StripeIdx, Timeout ? " (stall timeout)" : "",
+                   Resumable ? "resuming remaining" : "restarting full",
+                   RetryVolume / (1024.0 * 1024.0));
+  scheduleReconnect(Id, StripeIdx, RetryVolume);
 }
 
 void TransferManager::failTransfer(TransferId Id, const char *Reason,
@@ -579,16 +576,9 @@ void TransferManager::failTransfer(TransferId Id, const char *Reason,
           St == TransferStatus::DeadlineExpired) &&
          "failTransfer reports failure statuses");
   ActiveTransfer &T = *Found;
-  for (Stripe &S : T.StripesLive) {
-    if (S.Flow == InvalidFlowId)
-      continue;
-    Net.cancelFlow(S.Flow);
-    S.Source->disk().removeTransferLoad(S.AccountedRate);
-    T.Spec.Destination->disk().removeTransferLoad(S.AccountedRate);
-    S.Flow = InvalidFlowId;
-    S.AccountedRate = 0.0;
-    noteStripeDown(*S.Source, *T.Spec.Destination);
-  }
+  for (Stripe &S : T.StripesLive)
+    if (S.Flow != InvalidFlowId)
+      closeStripe(T, S, /*CancelFlow=*/true);
   TransferResult Result = T.Result;
   Result.Status = St;
   Result.EndTime = Sim.now();
@@ -609,12 +599,15 @@ void TransferManager::failTransfer(TransferId Id, const char *Reason,
     ++TotalDeadlineExpired;
   else
     ++Failed;
-  trace("#%llu %s (%s): %.0f of %.0f MB delivered, %u restart(s)",
-        static_cast<unsigned long long>(Result.Id),
-        St == TransferStatus::DeadlineExpired ? "DEADLINE EXPIRED"
-                                              : "FAILED",
-        Reason, Result.DeliveredBytes / (1024.0 * 1024.0),
-        Result.FileBytes / (1024.0 * 1024.0), Result.Restarts);
+  if (Trace)
+    Trace->recordf(Sim.now(), TraceCategory::Transfer,
+                   "#%" PRIu64 " %s (%s): %.0f of %.0f MB delivered, %u "
+                   "restart(s)",
+                   Result.Id,
+                   St == TransferStatus::DeadlineExpired ? "DEADLINE EXPIRED"
+                                                         : "FAILED",
+                   Reason, Result.DeliveredBytes / (1024.0 * 1024.0),
+                   Result.FileBytes / (1024.0 * 1024.0), Result.Restarts);
   if (Done)
     Done(Result);
 }

@@ -298,7 +298,6 @@ public:
     Policy = P;
     armWatchdog();
   }
-  const RetryPolicy &retryPolicy() const { return Policy; }
 
   /// Scale mode for the periodic cap refresh: update every stripe's
   /// endpoint cap first and rebalance the network once, instead of
@@ -314,7 +313,6 @@ public:
   /// is submitted — the per-destination active counts are only maintained
   /// while a policy is in force.
   void setAdmissionPolicy(const AdmissionPolicy &A);
-  const AdmissionPolicy &admissionPolicy() const { return Admission; }
 
   /// The kernel this manager schedules on (recovery layers need delays).
   Simulator &sim() { return Sim; }
@@ -390,9 +388,13 @@ private:
   /// fails the transfer when the retry budget is gone).  \p Timeout marks
   /// stall-watchdog detections for the counters.
   void failStripe(TransferId Id, size_t StripeIdx, bool Timeout);
-  /// Reconnect attempt: restarts the stripe flow, or burns another attempt
-  /// when the endpoints are still unreachable.
-  void retryStripe(TransferId Id, size_t StripeIdx);
+  /// Schedules a stripe's reconnect (connect time + RTT + backoff), which
+  /// restarts its flow with \p Volume wire bytes.  \returns the delay.
+  SimTime scheduleReconnect(TransferId Id, size_t StripeIdx, Bytes Volume);
+  /// Closes a stripe's data connection: cancels its flow when \p CancelFlow
+  /// (the flow is still running), undoes its disk accounting and drops the
+  /// endpoints' live-stripe counts.
+  void closeStripe(ActiveTransfer &T, Stripe &S, bool CancelFlow);
   /// Gives up: releases everything and fires the callback with \p St
   /// (Failed, or DeadlineExpired for deadline aborts).  Works on queued
   /// transfers too — they simply have no flows to tear down.
@@ -419,8 +421,6 @@ private:
   /// Backoff component of the reconnect delay for the given consecutive
   /// failure count.
   SimTime backoffSeconds(unsigned ConsecutiveFailures) const;
-
-  void trace(const char *Fmt, ...) const;
 
   Simulator &Sim;
   FlowNetwork &Net;

@@ -238,7 +238,6 @@ SystemFactors InformationService::queryEntry(PathSensors &PS,
     }
     C.Factors = F;
     C.Valid = true;
-    ++C.Epoch;
   }
 
   // Staleness tags: how old the data behind the answer is.  Sensors keep

@@ -329,10 +329,6 @@ private:
     uint64_t LogCfgVer = 0;
     Bytes HintBytes = 0.0;
     unsigned HintStreams = 0;
-    /// Bumped once per recompute: the path's forecast epoch.  Consumers
-    /// (ReplicaSelector's ranking cache) can observe it to learn whether a
-    /// ranking built from this entry is still current.
-    uint64_t Epoch = 0;
     SystemFactors Factors;
     bool Valid = false;
   };

@@ -163,7 +163,6 @@ private:
   /// Open → HalfOpen transition.
   SiteState &refresh(const Host &Site);
   void trip(SiteState &S, const Host &Site);
-  void trace(const Host &Site, const char *Fmt, ...) const;
 
   Simulator &Sim;
   HealthConfig Config;

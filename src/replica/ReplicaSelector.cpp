@@ -52,8 +52,9 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
       R.Chosen = Local;
       R.LocalHit = true;
       if (Trace)
-        Trace->record(Info.now(), TraceCategory::Selection,
-                      Lfn + ": local hit at " + Local->name());
+        Trace->recordf(Info.now(), TraceCategory::Selection,
+                       "%s: local hit at %s", Lfn.c_str(),
+                       Local->name().c_str());
       return R;
     }
   }
@@ -69,9 +70,9 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
       Candidates.push_back(C.Candidate);
   if (Candidates.empty()) {
     if (Trace)
-      Trace->record(Info.now(), TraceCategory::Selection,
-                    Lfn + ": no live replica among " +
-                        std::to_string(Holders) + " holder(s)");
+      Trace->recordf(Info.now(), TraceCategory::Selection,
+                     "%s: no live replica among %zu holder(s)", Lfn.c_str(),
+                     Holders);
     return R; // Chosen stays null.
   }
   // Breaker gate: holders resting behind an Open breaker (or half-open
@@ -88,18 +89,16 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
         Admitted.push_back(H);
     if (!Admitted.empty()) {
       if (Trace && Admitted.size() != Candidates.size())
-        Trace->record(Info.now(), TraceCategory::Selection,
-                      Lfn + ": breaker gate removed " +
-                          std::to_string(Candidates.size() -
-                                         Admitted.size()) +
-                          " of " + std::to_string(Candidates.size()) +
-                          " candidate(s)");
+        Trace->recordf(Info.now(), TraceCategory::Selection,
+                       "%s: breaker gate removed %zu of %zu candidate(s)",
+                       Lfn.c_str(), Candidates.size() - Admitted.size(),
+                       Candidates.size());
       Candidates.swap(Admitted);
     } else if (Trace) {
-      Trace->record(Info.now(), TraceCategory::Selection,
-                    Lfn + ": every breaker open; falling back to all " +
-                        std::to_string(Candidates.size()) +
-                        " live holder(s)");
+      Trace->recordf(Info.now(), TraceCategory::Selection,
+                     "%s: every breaker open; falling back to all %zu live "
+                     "holder(s)",
+                     Lfn.c_str(), Candidates.size());
     }
   }
   R.Chosen = Policy.choose(ClientNode, Candidates, Info);
@@ -107,10 +106,10 @@ ReplicaSelector::selectRef(NodeId ClientNode, const std::string &Lfn,
   if (Health)
     Health->noteDispatch(*R.Chosen);
   if (Trace)
-    Trace->record(Info.now(), TraceCategory::Selection,
-                  Lfn + ": " + Policy.name() + " chose " +
-                      R.Chosen->name() + " of " +
-                      std::to_string(Candidates.size()) + " candidates");
+    Trace->recordf(Info.now(), TraceCategory::Selection,
+                   "%s: %s chose %s of %zu candidates", Lfn.c_str(),
+                   Policy.name().c_str(), R.Chosen->name().c_str(),
+                   Candidates.size());
   return R;
 }
 

@@ -101,14 +101,10 @@ public:
   /// selections are bit-identical; the knob exists for the determinism
   /// suite and the BM_SelectReplica uncached arm.
   void setRankingCacheEnabled(bool V) { RankCacheOn = V; }
-  bool rankingCacheEnabled() const { return RankCacheOn; }
 
   /// \returns how many times a ranking entry was (re)bound to catalog
   /// holders and path sensors — cache-shape introspection for tests.
   uint64_t rankingRebinds() const { return RankRebinds; }
-
-  SelectionPolicy &policy() { return Policy; }
-  const CostModel &reportModel() const { return ReportModel; }
 
   /// Attaches a trace log (TraceCategory::Selection events).
   void setTrace(TraceLog *Log) { Trace = Log; }
@@ -119,7 +115,6 @@ public:
   /// fetch actually about to run.  ReplicaManager::fetch sets it per
   /// attempt; the default matches FetchOptions::Streams.
   void setTransferHintStreams(unsigned S) { HintStreams = S; }
-  unsigned transferHintStreams() const { return HintStreams; }
 
   /// Attaches a site-health tracker: breaker-gated candidate filtering
   /// here, health-blended scoring in the policy.  Pass nullptr to detach.

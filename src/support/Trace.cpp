@@ -7,6 +7,7 @@
 #include "support/Trace.h"
 
 #include <cassert>
+#include <cstdarg>
 #include <cstdio>
 
 using namespace dgsim;
@@ -48,10 +49,15 @@ bool TraceLog::enabled(TraceCategory C) const {
   return (EnabledMask & bit(C)) != 0;
 }
 
-void TraceLog::record(SimTime Time, TraceCategory C, std::string Message) {
+void TraceLog::recordf(SimTime Time, TraceCategory C, const char *Fmt, ...) {
   if (!enabled(C))
     return;
-  Events.push_back(TraceEvent{Time, C, std::move(Message)});
+  char Buf[256];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Events.push_back(TraceEvent{Time, C, Buf});
 }
 
 std::vector<const TraceEvent *>

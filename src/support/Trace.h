@@ -67,8 +67,10 @@ public:
   /// \returns true when \p C is currently recorded.
   bool enabled(TraceCategory C) const;
 
-  /// Appends an event if its category is enabled.
-  void record(SimTime Time, TraceCategory C, std::string Message);
+  /// Appends a printf-formatted event (truncated to 255 characters) if its
+  /// category is enabled; returns before formatting when it is not.
+  void recordf(SimTime Time, TraceCategory C, const char *Fmt, ...)
+      __attribute__((format(printf, 4, 5)));
 
   /// All recorded events, in record order.
   const std::vector<TraceEvent> &events() const { return Events; }

@@ -7,6 +7,7 @@
 #include "grid/DynamicReplicator.h"
 #include "grid/Experiment.h"
 #include "grid/Testbed.h"
+#include "replica/StorageElement.h"
 #include "support/Statistics.h"
 
 #include <gtest/gtest.h>
@@ -39,10 +40,10 @@ struct ReplicatorFixture : ::testing::Test {
 
   JobRecord remoteJob(Host &Client, const char *Lfn = "hot-file") {
     JobRecord R;
-    R.Lfn = Lfn;
     R.Client = &Client;
-    R.Source = &T->hit(0);
-    R.LocalHit = false;
+    R.Fetch.Succeeded = true;
+    R.Fetch.Lfn = Lfn;
+    R.Fetch.FinalSource = &T->hit(0);
     return R;
   }
 };
@@ -70,7 +71,7 @@ TEST_F(ReplicatorFixture, LocalHitsDoNotCount) {
   C.AccessThreshold = 2;
   DynamicReplicator Rep(T->grid(), *Manager, C);
   JobRecord Local = remoteJob(T->alpha(1));
-  Local.LocalHit = true;
+  Local.Fetch.LocalHit = true;
   for (int I = 0; I < 5; ++I)
     Rep.onJob(Local);
   EXPECT_EQ(Rep.replicationsStarted(), 0u);
@@ -122,6 +123,57 @@ TEST_F(ReplicatorFixture, RespectsReplicaCap) {
   EXPECT_EQ(Rep.replicationsStarted(), 0u);
 }
 
+TEST_F(ReplicatorFixture, FailedJobsDoNotCount) {
+  DynamicReplicationConfig C;
+  C.AccessThreshold = 1;
+  DynamicReplicator Rep(T->grid(), *Manager, C);
+  JobRecord Failed = remoteJob(T->alpha(1));
+  Failed.Fetch.Succeeded = false;
+  for (int I = 0; I < 3; ++I)
+    Rep.onJob(Failed);
+  EXPECT_EQ(Rep.replicationsStarted(), 0u);
+}
+
+TEST_F(ReplicatorFixture, FailedReplicationReleasesReservation) {
+  // The only source crashes mid-replication and one attempt is all the
+  // retry budget allows: the fetch fails with no holder left to fail over
+  // to.  Nothing may count as completed, the catalog must not list the
+  // target, and the pinned placeholder must give its space back.
+  RetryPolicy P;
+  P.MaxAttempts = 1;
+  T->grid().transfers().setRetryPolicy(P);
+  StorageManager SM(T->grid().catalog(), EvictionPolicy::Lru);
+  StorageElement &SE = SM.attachStore(T->alpha(1), megabytes(1024));
+  DynamicReplicationConfig C;
+  C.AccessThreshold = 1;
+  DynamicReplicator Rep(T->grid(), *Manager, C);
+  Rep.setStorageManager(&SM);
+
+  Rep.onJob(remoteJob(T->alpha(2)));
+  ASSERT_EQ(Rep.replicationsStarted(), 1u);
+  ASSERT_TRUE(SE.contains("hot-file"));
+  T->sim().runUntil(T->sim().now() + 5.0); // Mid-transfer.
+  T->hit(0).setUp(false);
+  T->grid().transfers().failHost(T->hit(0), /*MachineDown=*/true);
+  T->sim().run();
+
+  EXPECT_EQ(Rep.replicationsCompleted(), 0u);
+  EXPECT_EQ(Manager->failedFetches(), 1u);
+  EXPECT_EQ(T->grid().catalog().replicaAt("hot-file", T->alpha(1).node()),
+            nullptr);
+  EXPECT_FALSE(SE.contains("hot-file"));
+  EXPECT_DOUBLE_EQ(SE.freeBytes(), SE.capacity());
+
+  // The dedup guard was cleared: the next trigger starts a new attempt.
+  T->hit(0).setUp(true);
+  Rep.onJob(remoteJob(T->alpha(2)));
+  EXPECT_EQ(Rep.replicationsStarted(), 2u);
+  T->sim().run();
+  EXPECT_EQ(Rep.replicationsCompleted(), 1u);
+  EXPECT_TRUE(SE.contains("hot-file"));
+  EXPECT_FALSE(SE.pinned("hot-file"));
+}
+
 TEST_F(ReplicatorFixture, CustomStorageHost) {
   DynamicReplicationConfig C;
   C.AccessThreshold = 1;
@@ -156,8 +208,8 @@ TEST_F(ReplicatorFixture, EndToEndWorkloadGetsFasterWithReplication) {
     WorkloadConfig W;
     W.JobCount = 12;
     W.MeanInterarrival = 240.0;
-    W.App.Streams = 8;
-    Workload Load(Bed.grid(), Slct, {&Bed.lz(2), &Bed.lz(3)}, W);
+    W.Streams = 8;
+    Workload Load(Bed.grid(), Mgr, {&Bed.lz(2), &Bed.lz(3)}, W);
     if (Replicate)
       Load.setJobObserver(
           [&Rep](const JobRecord &R) { Rep.onJob(R); });
@@ -167,7 +219,7 @@ TEST_F(ReplicatorFixture, EndToEndWorkloadGetsFasterWithReplication) {
     RunningStats Tail;
     const auto &Records = Load.stats().Records;
     for (size_t I = Records.size() / 2; I < Records.size(); ++I)
-      if (!Records[I].LocalHit)
+      if (!Records[I].Fetch.LocalHit)
         Tail.add(Records[I].transferSeconds());
     return Tail.mean();
   };

@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "grid/Application.h"
 #include "grid/DataGrid.h"
 #include "grid/Experiment.h"
 #include "grid/Testbed.h"
@@ -227,7 +226,7 @@ TEST(Table1Shape, CostRankingMatchesTransferTimeRanking) {
 }
 
 //===----------------------------------------------------------------------===//
-// Application + Workload
+// Workload: the Fig 1 job loop
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -237,6 +236,7 @@ struct AppFixture : ::testing::Test {
   std::unique_ptr<PaperTestbed> T;
   std::unique_ptr<CostModelPolicy> Policy;
   std::unique_ptr<ReplicaSelector> Sel;
+  std::unique_ptr<ReplicaManager> Mgr;
 
   void SetUp() override {
     O.DynamicLoad = false;
@@ -246,61 +246,91 @@ struct AppFixture : ::testing::Test {
     Policy = std::make_unique<CostModelPolicy>();
     Sel = std::make_unique<ReplicaSelector>(T->grid().catalog(),
                                             T->grid().info(), *Policy);
+    Mgr = std::make_unique<ReplicaManager>(T->grid().catalog(), *Sel,
+                                           T->grid().transfers());
+  }
+
+  /// Runs a workload of \p Jobs jobs of \p Lfn from \p Client to the end.
+  ExperimentStats runWorkload(Host &Client, const std::string &Lfn,
+                          size_t Jobs = 1) {
+    WorkloadConfig W;
+    W.JobCount = Jobs;
+    W.Files = {Lfn};
+    Workload Load(T->grid(), *Mgr, {&Client}, W);
+    Load.start();
+    T->sim().run();
+    EXPECT_TRUE(Load.finished());
+    return Load.stats();
   }
 };
 
 } // namespace
 
 TEST_F(AppFixture, RemoteJobFetchesThenComputes) {
-  Application App(T->grid(), *Sel);
-  JobRecord Done;
-  bool Finished = false;
-  App.runJob(T->alpha(1), PaperTestbed::FileA, [&](const JobRecord &R) {
-    Done = R;
-    Finished = true;
-  });
-  T->sim().run();
-  ASSERT_TRUE(Finished);
-  EXPECT_FALSE(Done.LocalHit);
-  EXPECT_EQ(Done.Source, &T->alpha(4)); // Same-site replica wins.
+  ExperimentStats S = runWorkload(T->alpha(1), PaperTestbed::FileA);
+  ASSERT_EQ(S.jobCount(), 1u);
+  const JobRecord &Done = S.Records[0];
+  EXPECT_TRUE(Done.Fetch.Succeeded);
+  EXPECT_FALSE(Done.Fetch.LocalHit);
+  EXPECT_EQ(Done.Fetch.FinalSource, &T->alpha(4)); // Same-site replica wins.
   EXPECT_GT(Done.transferSeconds(), 0.0);
   EXPECT_GT(Done.ComputeSeconds, 0.0);
   EXPECT_NEAR(Done.totalSeconds(),
               Done.transferSeconds() + Done.ComputeSeconds, 1e-6);
+  // A job reads the file; it does not make the client a replica holder.
+  EXPECT_EQ(T->grid().catalog().replicaAt(PaperTestbed::FileA,
+                                          T->alpha(1).node()),
+            nullptr);
 }
 
 TEST_F(AppFixture, LocalJobSkipsTransfer) {
   T->grid().catalog().addReplica(PaperTestbed::FileA, T->alpha(1));
-  Application App(T->grid(), *Sel);
-  JobRecord Done;
-  App.runJob(T->alpha(1), PaperTestbed::FileA,
-             [&](const JobRecord &R) { Done = R; });
-  T->sim().run();
-  EXPECT_TRUE(Done.LocalHit);
+  ExperimentStats S = runWorkload(T->alpha(1), PaperTestbed::FileA);
+  ASSERT_EQ(S.jobCount(), 1u);
+  const JobRecord &Done = S.Records[0];
+  EXPECT_TRUE(Done.Fetch.LocalHit);
   EXPECT_DOUBLE_EQ(Done.transferSeconds(), 0.0);
   EXPECT_GT(Done.ComputeSeconds, 0.0);
+  EXPECT_EQ(S.LocalHits, 1u);
 }
 
 TEST_F(AppFixture, SlowHostComputesLonger) {
   // Publish a local replica on both hosts so compute time dominates.
   T->grid().catalog().addReplica(PaperTestbed::FileA, T->alpha(1));
   T->grid().catalog().addReplica(PaperTestbed::FileA, T->lz(1));
-  Application App(T->grid(), *Sel);
-  JobRecord Fast, Slow;
-  App.runJob(T->alpha(1), PaperTestbed::FileA,
-             [&](const JobRecord &R) { Fast = R; });
-  App.runJob(T->lz(1), PaperTestbed::FileA,
-             [&](const JobRecord &R) { Slow = R; });
-  T->sim().run();
-  EXPECT_GT(Slow.ComputeSeconds, Fast.ComputeSeconds * 2.0);
+  ExperimentStats Fast = runWorkload(T->alpha(1), PaperTestbed::FileA);
+  ExperimentStats Slow = runWorkload(T->lz(1), PaperTestbed::FileA);
+  ASSERT_EQ(Fast.jobCount(), 1u);
+  ASSERT_EQ(Slow.jobCount(), 1u);
+  EXPECT_GT(Slow.Records[0].ComputeSeconds,
+            Fast.Records[0].ComputeSeconds * 2.0);
+}
+
+TEST_F(AppFixture, JobWithNoLiveHolderFailsWithoutCompute) {
+  T->grid().catalog().registerFile("orphan", megabytes(64));
+  T->grid().catalog().addReplica("orphan", T->hit(2));
+  T->hit(2).setUp(false);
+  ExperimentStats S = runWorkload(T->alpha(1), "orphan", 3);
+  ASSERT_EQ(S.jobCount(), 3u);
+  EXPECT_EQ(S.FailedJobs, 3u);
+  for (const JobRecord &R : S.Records) {
+    EXPECT_FALSE(R.Fetch.Succeeded);
+    EXPECT_EQ(R.Fetch.FinalSource, nullptr);
+    EXPECT_DOUBLE_EQ(R.ComputeSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(R.FinishTime, R.Fetch.EndTime);
+  }
+  // Failed jobs stay out of the timing statistics.
+  EXPECT_EQ(S.TotalSeconds.count(), 0u);
+  EXPECT_EQ(S.TransferSeconds.count(), 0u);
+  EXPECT_EQ(S.LocalHits, 0u);
 }
 
 TEST_F(AppFixture, WorkloadRunsAllJobs) {
   WorkloadConfig W;
   W.JobCount = 12;
   W.MeanInterarrival = 60.0;
-  W.App.Streams = 8;
-  Workload Load(T->grid(), *Sel,
+  W.Streams = 8;
+  Workload Load(T->grid(), *Mgr,
                 {&T->alpha(1), &T->alpha(2), &T->hit(1)}, W);
   Load.start();
   T->sim().run();
@@ -320,23 +350,23 @@ TEST_F(AppFixture, WorkloadHonoursExplicitPopularityList) {
   W.MeanInterarrival = 30.0;
   W.ZipfExponent = 5.0;  // Essentially always rank 0.
   W.Files = {"rare"};    // Only the explicit list is used.
-  Workload Load(T->grid(), *Sel, {&T->alpha(1)}, W);
+  Workload Load(T->grid(), *Mgr, {&T->alpha(1)}, W);
   Load.start();
   T->sim().run();
   ASSERT_TRUE(Load.finished());
   for (const JobRecord &R : Load.stats().Records)
-    EXPECT_EQ(R.Lfn, "rare");
+    EXPECT_EQ(R.Fetch.Lfn, "rare");
 }
 
 TEST_F(AppFixture, WorkloadObserverSeesEveryJob) {
   WorkloadConfig W;
   W.JobCount = 9;
   W.MeanInterarrival = 45.0;
-  Workload Load(T->grid(), *Sel, {&T->alpha(1)}, W);
+  Workload Load(T->grid(), *Mgr, {&T->alpha(1)}, W);
   size_t Observed = 0;
   Load.setJobObserver([&](const JobRecord &R) {
-    EXPECT_FALSE(R.Lfn.empty());
-    EXPECT_GE(R.FinishTime, R.SubmitTime);
+    EXPECT_FALSE(R.Fetch.Lfn.empty());
+    EXPECT_GE(R.FinishTime, R.Fetch.StartTime);
     ++Observed;
   });
   Load.start();
@@ -363,17 +393,22 @@ TEST(DataGrid, SiteOfResolvesMembership) {
 TEST_F(AppFixture, ExperimentStatsAggregation) {
   ExperimentStats S;
   JobRecord R;
-  R.SubmitTime = 0.0;
+  R.Fetch.Succeeded = true;
+  R.Fetch.StartTime = 0.0;
   R.FinishTime = 10.0;
-  R.LocalHit = true;
+  R.Fetch.LocalHit = true;
   S.add(R);
-  R.LocalHit = false;
-  R.Transfer.StartTime = 0.0;
-  R.Transfer.EndTime = 4.0;
+  R.Fetch.LocalHit = false;
+  R.Fetch.EndTime = 4.0;
   S.add(R);
-  EXPECT_EQ(S.jobCount(), 2u);
-  EXPECT_DOUBLE_EQ(S.localHitRate(), 0.5);
+  R.Fetch.Succeeded = false; // Counted, but out of the timing stats.
+  R.FinishTime = 4.0;
+  S.add(R);
+  EXPECT_EQ(S.jobCount(), 3u);
+  EXPECT_EQ(S.FailedJobs, 1u);
+  EXPECT_DOUBLE_EQ(S.localHitRate(), 1.0 / 3.0);
   EXPECT_EQ(S.TransferSeconds.count(), 1u);
   EXPECT_DOUBLE_EQ(S.TransferSeconds.mean(), 4.0);
+  EXPECT_EQ(S.TotalSeconds.count(), 2u);
   EXPECT_DOUBLE_EQ(S.TotalSeconds.mean(), 10.0);
 }

@@ -30,11 +30,12 @@ TEST(Integration, WorkloadSurvivesLinkFlaps) {
   T.publishFileA();
   CostModelPolicy Policy;
   ReplicaSelector Sel(T.grid().catalog(), T.grid().info(), Policy);
+  ReplicaManager Manager(T.grid().catalog(), Sel, T.grid().transfers());
   WorkloadConfig W;
   W.JobCount = 8;
   W.MeanInterarrival = 90.0;
-  W.App.Streams = 8;
-  Workload Load(T.grid(), Sel, {&T.hit(3), &T.lz(4)}, W);
+  W.Streams = 8;
+  Workload Load(T.grid(), Manager, {&T.hit(3), &T.lz(4)}, W);
   Load.start();
 
   // Flap the THU access link (id: find by endpoints) every 120 s.
@@ -81,9 +82,10 @@ TEST(Integration, ReplicationThenCoAllocationCompound) {
 
   // Replicate to a second THU host to enable dual-source fetching.
   bool Replicated = false;
-  Manager.replicate("data", T.alpha(3), 8,
-                    [&](const std::string &, Host &,
-                        const TransferResult &) { Replicated = true; });
+  FetchOptions Opts;
+  Opts.Streams = 8;
+  Manager.fetch("data", T.alpha(3), Opts,
+                [&](const FetchResult &R) { Replicated = R.Succeeded; });
   T.sim().run();
   ASSERT_TRUE(Replicated);
   ASSERT_EQ(Cat.locate("data").size(), 2u);
@@ -122,7 +124,7 @@ TEST(Integration, FullStackDeterminism) {
     WorkloadConfig W;
     W.JobCount = 10;
     W.MeanInterarrival = 60.0;
-    Workload Load(T.grid(), Sel, {&T.alpha(1), &T.lz(3)}, W);
+    Workload Load(T.grid(), Manager, {&T.alpha(1), &T.lz(3)}, W);
     Load.setJobObserver([&Rep](const JobRecord &R) { Rep.onJob(R); });
     Load.start();
     T.sim().run();
@@ -171,17 +173,18 @@ TEST(Integration, Fig1ScenarioEndToEnd) {
 
   CostModelPolicy Policy;
   ReplicaSelector Sel(T.grid().catalog(), T.grid().info(), Policy);
-  Application App(T.grid(), Sel);
-  JobRecord Done;
-  bool Finished = false;
-  App.runJob(T.alpha(1), PaperTestbed::FileA, [&](const JobRecord &R) {
-    Done = R;
-    Finished = true;
-  });
+  ReplicaManager Manager(T.grid().catalog(), Sel, T.grid().transfers());
+  WorkloadConfig W;
+  W.JobCount = 1;
+  W.Files = {PaperTestbed::FileA};
+  Workload Load(T.grid(), Manager, {&T.alpha(1)}, W);
+  Load.start();
   T.sim().run();
-  ASSERT_TRUE(Finished);
-  EXPECT_EQ(Done.Source, &T.alpha(4)); // Best score = same-campus copy.
-  EXPECT_GT(Done.Transfer.meanThroughput(), mbps(50));
+  ASSERT_TRUE(Load.finished());
+  const JobRecord &Done = Load.stats().Records[0];
+  EXPECT_TRUE(Done.Fetch.Succeeded);
+  EXPECT_EQ(Done.Fetch.FinalSource, &T.alpha(4)); // Same-campus copy.
+  EXPECT_GT(Done.Fetch.FileBytes * 8.0 / Done.transferSeconds(), mbps(50));
   EXPECT_GT(Done.ComputeSeconds, 0.0);
-  EXPECT_DOUBLE_EQ(Done.Transfer.FileBytes, megabytes(1024));
+  EXPECT_DOUBLE_EQ(Done.Fetch.FileBytes, megabytes(1024));
 }

@@ -534,23 +534,24 @@ TEST_F(ReplicaFixture, ReplicateMovesDataAndRegisters) {
   ReplicaSelector Sel(Cat, *Info, P);
   ReplicaManager RM(Cat, Sel, *Mgr);
   bool Done = false;
-  TransferResult Result;
-  RM.replicate("file-a", *ClientHost, 4,
-               [&](const std::string &Lfn, Host &Where,
-                   const TransferResult &R) {
-                 EXPECT_EQ(Lfn, "file-a");
-                 EXPECT_EQ(&Where, ClientHost.get());
-                 Result = R;
-                 Done = true;
-               });
+  FetchResult Result;
+  FetchOptions Opts;
+  Opts.Streams = 4;
+  RM.fetch("file-a", *ClientHost, Opts, [&](const FetchResult &R) {
+    EXPECT_EQ(R.Lfn, "file-a");
+    Result = R;
+    Done = true;
+  });
   // Not yet registered: the data is still moving.
   EXPECT_EQ(Cat.locate("file-a").size(), 3u);
   Sim.run();
   EXPECT_TRUE(Done);
+  EXPECT_TRUE(Result.Succeeded);
   EXPECT_EQ(Cat.locate("file-a").size(), 4u);
   EXPECT_NE(Cat.replicaAt("file-a", ClientNode), nullptr);
-  EXPECT_GT(Result.totalSeconds(), 0.0);
+  EXPECT_GT(Result.EndTime - Result.StartTime, 0.0);
   EXPECT_DOUBLE_EQ(Result.FileBytes, megabytes(256));
+  EXPECT_DOUBLE_EQ(Result.DeliveredBytes, megabytes(256));
 }
 
 TEST_F(ReplicaFixture, ReplicateToExistingLocationIsNoop) {
@@ -558,15 +559,17 @@ TEST_F(ReplicaFixture, ReplicateToExistingLocationIsNoop) {
   ReplicaSelector Sel(Cat, *Info, P);
   ReplicaManager RM(Cat, Sel, *Mgr);
   bool Done = false;
-  TransferId Id = RM.replicate("file-a", *Fast, 4,
-                               [&](const std::string &, Host &,
-                                   const TransferResult &R) {
-                                 EXPECT_DOUBLE_EQ(R.FileBytes, 0.0);
-                                 Done = true;
-                               });
-  EXPECT_EQ(Id, InvalidTransferId);
-  EXPECT_TRUE(Done);
+  RM.fetch("file-a", *Fast, FetchOptions(), [&](const FetchResult &R) {
+    // A local hit: nothing moved, no time passed.
+    EXPECT_TRUE(R.LocalHit);
+    EXPECT_DOUBLE_EQ(R.EndTime - R.StartTime, 0.0);
+    EXPECT_DOUBLE_EQ(R.ResentBytes, 0.0);
+    Done = true;
+  });
+  EXPECT_TRUE(Done); // Synchronously.
   EXPECT_EQ(Mgr->activeTransfers(), 0u);
+  EXPECT_EQ(Mgr->completedTransfers(), 0u);
+  EXPECT_EQ(Cat.locate("file-a").size(), 3u);
 }
 
 TEST_F(ReplicaFixture, RemoveRefusesLastCopy) {

@@ -36,6 +36,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -786,6 +787,104 @@ TEST(TelemetryGridTest, SameSeedRunsBitIdenticalUnderTelemetryFaults) {
   std::string A = runRobustGrid(4002, true);
   std::string B = runRobustGrid(4002, true);
   EXPECT_EQ(A, B);
+}
+
+/// One client fetches a single-holder file from the same holder again and
+/// again (each fetch starts 5 s after the previous one resolved), so every
+/// completion lands on one log path and the robust arms are scored and
+/// compete for bestArm() — with the gate, the quarantine and a LogCorrupt
+/// window live.  The journal records each fetch, then the path's arm state.
+std::string runRepeatedPathGrid(uint64_t Seed) {
+  constexpr unsigned Fetches = 20;
+  GridSpec Spec = telemetryBaseSpec(Seed);
+  Spec.Files.push_back({"tele-c", megabytes(16), {"lz02"}});
+  Spec.Faults.logCorrupt("", "", 60.0, 60.0, 1.5);
+
+  std::unique_ptr<DataGrid> G = DataGrid::buildFrom(Spec);
+  G->info().gateConfig().MinSamples = 4;
+  G->info().setSensorGate(true);
+  TransferLog &Log = G->enableTransferLog();
+  Log.gateConfig().MinSamples = 4;
+  Log.setRobust(true, true, true);
+
+  CostModelPolicy Policy;
+  ReplicaSelector Sel(G->catalog(), G->info(), Policy);
+  ReplicaManager Mgr(G->catalog(), Sel, G->transfers());
+  Host &Client = *G->findHost("alpha1");
+
+  std::string Journal;
+  unsigned Done = 0;
+  std::function<void()> FetchOnce = [&] {
+    FetchOptions FO;
+    FO.Streams = 4;
+    FO.Register = false;
+    Mgr.fetch("tele-c", Client, FO, [&](const FetchResult &R) {
+      char Line[160];
+      std::snprintf(Line, sizeof(Line), "ok=%d src=%s d=%.17g end=%.17g\n",
+                    R.Succeeded ? 1 : 0,
+                    R.FinalSource ? R.FinalSource->name().c_str() : "-",
+                    R.DeliveredBytes, R.EndTime);
+      Journal += Line;
+      if (++Done < Fetches)
+        G->sim().schedule(5.0, FetchOnce);
+    });
+  };
+  G->sim().scheduleAt(10.0, FetchOnce);
+  G->sim().run();
+
+  char Tail[160];
+  std::snprintf(Tail, sizeof(Tail),
+                "rej=%llu corr=%llu app=%llu bench=%llu end=%.17g\n",
+                static_cast<unsigned long long>(Log.rejectedAppends()),
+                static_cast<unsigned long long>(Log.corruptedAppends()),
+                static_cast<unsigned long long>(Log.totalAppends()),
+                static_cast<unsigned long long>(Log.totalBenches()),
+                G->sim().now());
+  Journal += Tail;
+  NodeId Server = G->findHost("lz02")->node();
+  const TransferForecaster *Fc = Log.forecaster(Server, Client.node());
+  if (!Fc)
+    return Journal + "unlogged\n";
+  char Line[224];
+  std::snprintf(Line, sizeof(Line),
+                "path %u->%u best=%zu scored6=%zu scored7=%zu trim=%.17g "
+                "huber=%.17g\n",
+                Server, Client.node(), Fc->bestArm(), Fc->armScored(6),
+                Fc->armScored(7), Fc->armPredict(6, megabytes(16), 4, NAN),
+                Fc->armPredict(7, megabytes(16), 4, NAN));
+  return Journal + Line;
+}
+
+// Captured before the transfer manager's stripe close and reconnect were
+// folded into one helper each: the robust arms scored and competing on one
+// repeatedly fetched path under append gating, quarantine and log poison.
+TEST(TelemetryGridTest, RepeatedPathRobustArmsMatchPinnedJournal) {
+  std::string Journal = runRepeatedPathGrid(4003);
+  EXPECT_EQ(Journal.find("scored6=0 "), std::string::npos);
+  EXPECT_EQ(Journal,
+    "ok=1 src=lz02 d=16777216 end=18.12608999557218\n"
+    "ok=1 src=lz02 d=16777216 end=31.252179991144359\n"
+    "ok=1 src=lz02 d=16777216 end=44.378269986716539\n"
+    "ok=1 src=lz02 d=16777216 end=57.504359982288719\n"
+    "ok=1 src=lz02 d=16777216 end=70.630449977860906\n"
+    "ok=1 src=lz02 d=16777216 end=83.756539973433078\n"
+    "ok=1 src=lz02 d=16777216 end=96.882629969005251\n"
+    "ok=1 src=lz02 d=16777216 end=110.00871996457742\n"
+    "ok=1 src=lz02 d=16777216 end=123.1348099601496\n"
+    "ok=1 src=lz02 d=16777216 end=136.26089995572178\n"
+    "ok=1 src=lz02 d=16777216 end=149.38698995129397\n"
+    "ok=1 src=lz02 d=16777216 end=162.51307994686616\n"
+    "ok=1 src=lz02 d=16777216 end=175.63916994243834\n"
+    "ok=1 src=lz02 d=16777216 end=188.76525993801053\n"
+    "ok=1 src=lz02 d=16777216 end=201.89134993358272\n"
+    "ok=1 src=lz02 d=16777216 end=215.0174399291549\n"
+    "ok=1 src=lz02 d=16777216 end=228.14352992472709\n"
+    "ok=1 src=lz02 d=16777216 end=241.26961992029928\n"
+    "ok=1 src=lz02 d=16777216 end=254.39570991587146\n"
+    "ok=1 src=lz02 d=16777216 end=267.52179991144362\n"
+    "rej=3 corr=4 app=17 bench=2 end=267.52179991144362\n"
+    "path 7->1 best=1 scored6=16 scored7=16 trim=20122778.928910896 "
+    "huber=20043822.932748709\n");
 }
 
 } // namespace
